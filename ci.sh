@@ -60,6 +60,20 @@ if [ "$CK" != "$ST" ]; then
 fi
 echo "   identical tables under both engines"
 
+echo "== fused-share gate (superblock engine fuses through FI hooks)"
+# Share of trial instructions the superblock engine retired fused on the
+# same sweep. It is a deterministic count, not a timing, so it does not
+# depend on the machine; it drops when collapsed REFINE sites or counting
+# LLFI hooks stop fusing (e.g. an instrumentation change breaks the idiom).
+$EXP table6 --trials 12 --apps HPCCG-1.0,CoMD --seed 7 --jobs 1 --quiet --json 2>/dev/null \
+    | python3 -c '
+import json, sys
+share = json.load(sys.stdin)["engine"]["superblock"]["fused_instr_share"]
+print(f"   fused_instr_share {share:.3f} (gate 0.93)")
+if share < 0.93:
+    sys.exit(f"fused-share gate FAILED: {share:.3f} < 0.93")
+'
+
 echo "== trial_throughput bench (smoke)"
 # Fails on its own if the on/off sweeps mismatch or the superblock engine
 # loses its cold speedup; records trials/sec in BENCH_trials.json.

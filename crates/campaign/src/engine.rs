@@ -154,15 +154,15 @@ impl ArtifactCache {
         Arc::clone(artifact)
     }
 
-    /// Wall-clock nanoseconds this cache spent preparing `key` (`None`
-    /// when the key was never prepared here, e.g. pre-prepared artifacts
-    /// or a hit against an older cache generation).
-    pub fn prepare_ns_of(&self, key: &ArtifactKey) -> Option<u64> {
+    /// The artifact prepared for `key` and the nanoseconds its preparation
+    /// took (`None` when nothing was prepared for it here). A lookup for
+    /// reporting, not a demand: it counts neither a hit nor a miss.
+    pub fn peek(&self, key: &ArtifactKey) -> Option<(Arc<PreparedTool>, u64)> {
         let slot = {
             let slots = self.slots.lock();
             Arc::clone(slots.get(key)?)
         };
-        slot.get().map(|(_, ns)| *ns)
+        slot.get().map(|(p, ns)| (Arc::clone(p), *ns))
     }
 
     /// Artifacts currently resident.
@@ -533,18 +533,13 @@ pub fn run_sweep(
     let mut busy_total = 0u64;
     for (i, c) in campaigns.iter().enumerate() {
         let acc = &accums[i];
-        let prepared = match &c.source {
-            ArtifactSource::Prepared(p) => Arc::clone(p),
-            // Every campaign ran at least one trial, so the slot is filled;
-            // this lookup is a cache hit by construction.
-            ArtifactSource::Module(m) => cache.get_or_prepare(&keys[i], || {
-                PreparedTool::prepare_opt(m, c.tool, &cfg.checkpoint_options())
-            }),
-        };
-        let prepare_ms = match &c.source {
-            ArtifactSource::Prepared(_) => 0.0,
+        let (prepared, prepare_ms) = match &c.source {
+            ArtifactSource::Prepared(p) => (Arc::clone(p), 0.0),
+            // Every campaign ran at least one trial, so the slot is filled.
+            // Peeking keeps the report from counting as cache traffic.
             ArtifactSource::Module(_) => {
-                cache.prepare_ns_of(&keys[i]).unwrap_or(0) as f64 / 1e6
+                let (p, ns) = cache.peek(&keys[i]).expect("every campaign prepared its artifact");
+                (p, ns as f64 / 1e6)
             }
         };
         results.push(CampaignResult {

@@ -6,7 +6,7 @@ use refine_ir::passes::OptLevel;
 use refine_ir::Module;
 use refine_machine::{
     Binary, CheckpointConfig, CheckpointStore, ConvStats, FiRuntime, GoldenEnd, Machine, NoFi,
-    Predecoded, Probe, QuiescentRt, RunConfig, RunOutcome, RunResult, SbStats, SuperblockProgram,
+    Probe, QuiescentRt, RunConfig, RunOutcome, RunResult, SbStats, SuperblockProgram,
 };
 use refine_pinfi::{PinfiInjector, PinfiProfiler, PIN_OVERHEAD_CYCLES};
 use refine_telemetry::{registry, Phase, Span};
@@ -64,28 +64,27 @@ pub struct PreparedTool {
     /// site table — its opcodes resolve from the binary text at the
     /// faulting pc, see [`PreparedTool::site_opcode`]).
     pub site_opcodes: HashMap<u64, String>,
-    /// Golden-run checkpoints + predecoded text for trial fast-forward
+    /// Golden-run checkpoints and golden result for trial fast-forward
     /// (`None` with `--no-checkpoint`). Shared read-only across workers.
     pub fastpath: Option<Arc<FastPath>>,
     /// Detect post-injection golden convergence and splice the golden
     /// outcome (`--no-convergence` clears this; requires a fastpath).
     pub convergence: bool,
     /// The predecoded, superblock-fused text section for the fused engine.
-    /// Always built (it embeds the exact-step [`Predecoded`] stream too)
-    /// and shared read-only across workers; `--engine step` simply ignores
+    /// Always built (it embeds the exact-step
+    /// [`refine_machine::Predecoded`] stream too) and shared read-only
+    /// across workers; `--engine step` steps its `pre()` stream and ignores
     /// the fusion metadata.
     pub superblock: Arc<SuperblockProgram>,
 }
 
 /// The immutable fast-forward companion of a prepared binary: the
-/// profiling run's [`CheckpointStore`] and the [`Predecoded`] instruction
-/// stream for the quiescent inner loop.
+/// profiling run's [`CheckpointStore`] and golden result. The quiescent
+/// inner loops read the predecoded text from [`PreparedTool::superblock`].
 #[derive(Debug)]
 pub struct FastPath {
     /// Snapshots of the (quiescent) profiling run.
     pub store: CheckpointStore,
-    /// Flattened per-pc instruction stream.
-    pub pre: Predecoded,
     /// The complete golden profiling result, spliced into trials that
     /// re-converge with it post-injection.
     pub golden_run: RunResult,
@@ -142,20 +141,35 @@ pub struct TrialRun {
 }
 
 /// Run the profiling phase, capturing checkpoints when `ckpt` is set.
-fn profile_run(
+/// Call-hook binaries (no probe) run on the superblock engine, which
+/// yields the same result and snapshots as the exact loop; PINFI's probe
+/// needs the exact loop.
+fn profile_run<R: FiRuntime>(
     binary: &Binary,
+    sb: &SuperblockProgram,
     cfg: &RunConfig,
-    rt: &mut dyn FiRuntime,
+    rt: &mut R,
     probe: Option<&mut dyn Probe>,
     ckpt: Option<CheckpointConfig>,
 ) -> (RunResult, Option<CheckpointStore>) {
-    match ckpt {
-        Some(cc) => {
-            let _s = Span::enter(Phase::CheckpointBuild);
+    let _s = ckpt.is_some().then(|| Span::enter(Phase::CheckpointBuild));
+    match (probe, ckpt) {
+        (None, Some(cc)) => {
+            let (r, store) = Machine::run_sb_checkpointed(binary, cfg, sb, rt, &cc);
+            (r, Some(store))
+        }
+        (None, None) => {
+            let mut m = Machine::new(binary, cfg);
+            let outcome = m
+                .run_sb_calls(sb, rt, u64::MAX, cfg.max_cycles, &mut SbStats::default())
+                .expect("cycle-bounded run terminates");
+            (m.into_result(outcome), None)
+        }
+        (probe, Some(cc)) => {
             let (r, store) = Machine::run_checkpointed(binary, cfg, rt, probe, &cc);
             (r, Some(store))
         }
-        None => (Machine::run(binary, cfg, rt, probe), None),
+        (probe, None) => (Machine::run(binary, cfg, rt, probe), None),
     }
 }
 
@@ -185,7 +199,7 @@ impl PreparedTool {
         let stack_words = 1 << 16;
         let cfg = RunConfig { max_cycles: u64::MAX / 4, stack_words };
         let mcfg = ckpt.enabled.then(|| ckpt.machine_config());
-        let (binary, population, profile, store, site_opcodes) = match tool {
+        let (binary, superblock, population, profile, store, site_opcodes) = match tool {
             Tool::Refine => {
                 let c = refine_core::compile_with_fi(module, OptLevel::O2, &FiOptions::all());
                 let opcodes =
@@ -196,9 +210,10 @@ impl PreparedTool {
                     m.exempt_data_words = c.digest_exempt_words();
                     m
                 });
+                let sb = build_superblock(&c.binary);
                 let mut rt = ProfilingRt::default();
-                let (r, store) = profile_run(&c.binary, &cfg, &mut rt, None, mcfg);
-                (c.binary, rt.count, r, store, opcodes)
+                let (r, store) = profile_run(&c.binary, &sb, &cfg, &mut rt, None, mcfg);
+                (c.binary, sb, rt.count, r, store, opcodes)
             }
             Tool::Llfi => {
                 let (c, sites) = refine_llfi::compile_with_llfi(
@@ -207,25 +222,25 @@ impl PreparedTool {
                     &refine_llfi::LlfiOptions::default(),
                 );
                 let opcodes = sites.iter().map(|s| (s.id, s.opcode.clone())).collect();
+                let sb = build_superblock(&c.binary);
                 let mut rt = ProfilingRt::default();
-                let (r, store) = profile_run(&c.binary, &cfg, &mut rt, None, mcfg);
-                (c.binary, rt.count, r, store, opcodes)
+                let (r, store) = profile_run(&c.binary, &sb, &cfg, &mut rt, None, mcfg);
+                (c.binary, sb, rt.count, r, store, opcodes)
             }
             Tool::Pinfi => {
                 let c = refine_core::compile_with_fi(module, OptLevel::O2, &FiOptions::default());
+                let sb = build_superblock(&c.binary);
                 let _s = Span::enter(Phase::FiPinfiProbe);
                 let mut probe = PinfiProfiler::default();
-                let (r, store) = profile_run(&c.binary, &cfg, &mut NoFi, Some(&mut probe), mcfg);
-                (c.binary, probe.count, r, store, HashMap::new())
+                let (r, store) =
+                    profile_run(&c.binary, &sb, &cfg, &mut NoFi, Some(&mut probe), mcfg);
+                (c.binary, sb, probe.count, r, store, HashMap::new())
             }
         };
         assert!(population > 0, "{}: empty FI population", tool.name());
         let golden = Golden::from_run(&profile);
         let profile_cycles = profile.cycles;
-        let fastpath = store.map(|store| {
-            Arc::new(FastPath { pre: Predecoded::new(&binary), store, golden_run: profile })
-        });
-        let superblock = build_superblock(&binary);
+        let fastpath = store.map(|store| Arc::new(FastPath { store, golden_run: profile }));
         PreparedTool {
             tool,
             binary,
@@ -255,15 +270,13 @@ impl PreparedTool {
             m.exempt_data_words = c.digest_exempt_words();
             m
         });
+        let superblock = build_superblock(&c.binary);
         let mut rt = ProfilingRt::default();
-        let (r, store) = profile_run(&c.binary, &cfg, &mut rt, None, mcfg);
+        let (r, store) = profile_run(&c.binary, &superblock, &cfg, &mut rt, None, mcfg);
         assert!(rt.count > 0, "selected FI population is empty");
         let golden = Golden::from_run(&r);
         let profile_cycles = r.cycles;
-        let fastpath = store.map(|store| {
-            Arc::new(FastPath { pre: Predecoded::new(&c.binary), store, golden_run: r })
-        });
-        let superblock = build_superblock(&c.binary);
+        let fastpath = store.map(|store| Arc::new(FastPath { store, golden_run: r }));
         PreparedTool {
             tool: Tool::Refine,
             binary: c.binary,
@@ -318,6 +331,7 @@ impl PreparedTool {
             };
         };
         let sb = (engine == ExecEngine::Superblock).then(|| self.superblock.as_ref());
+        let pre = self.superblock.pre();
         let mut sbs = SbStats::default();
         let cfg = RunConfig { max_cycles: self.timeout_cycles, stack_words: self.stack_words };
         let (mut m, count0, mut fast) = {
@@ -341,7 +355,7 @@ impl PreparedTool {
                 let mut q = QuiescentRt::starting_at(count0);
                 let quiesced = match sb {
                     Some(sb) => m.run_sb_calls(sb, &mut q, stop, cfg.max_cycles, &mut sbs),
-                    None => m.run_quiescent_calls(&fp.pre, &mut q, stop, cfg.max_cycles),
+                    None => m.run_quiescent_calls(pre, &mut q, stop, cfg.max_cycles),
                 };
                 if let Some(outcome) = quiesced {
                     // Program ended (or timed out) before the target event:
@@ -368,16 +382,16 @@ impl PreparedTool {
                     break 'run TrialRun { result: m.into_result(outcome), log: rt.log, fast };
                 };
                 // Exact loop only through the firing event, then the
-                // monomorphized convergence loop for the suffix.
+                // monomorphized convergence loop for the suffix, with the
+                // fired injector still attached.
                 if let Some(outcome) = m.run_exact_until_fired(cfg.max_cycles, &mut rt, None) {
                     break 'run TrialRun { result: m.into_result(outcome), log: rt.log, fast };
                 }
                 let mut stats = ConvStats::default();
-                let mut q = QuiescentRt::starting_at(rt.fi_count());
                 let outcome = match sb {
                     Some(sb) => m.run_sb_converging_calls(
                         sb,
-                        &mut q,
+                        &mut rt,
                         &fp.store,
                         golden,
                         cfg.max_cycles,
@@ -385,8 +399,8 @@ impl PreparedTool {
                         &mut sbs,
                     ),
                     None => m.run_converging_calls(
-                        &fp.pre,
-                        &mut q,
+                        pre,
+                        &mut rt,
                         &fp.store,
                         golden,
                         cfg.max_cycles,
@@ -408,7 +422,7 @@ impl PreparedTool {
                         &mut sbs,
                     ),
                     None => m.run_quiescent_probed(
-                        &fp.pre,
+                        pre,
                         PIN_OVERHEAD_CYCLES,
                         &mut count,
                         stop,
@@ -461,7 +475,7 @@ impl PreparedTool {
                         &mut sbs,
                     ),
                     None => m.run_converging_probed(
-                        &fp.pre,
+                        pre,
                         &mut count,
                         &fp.store,
                         golden,

@@ -137,6 +137,14 @@ impl FiRuntime for BurstRt {
         self.log.push(FaultRecord { site, dynamic_index: self.count, operand: 0, bit });
         value ^ 1u64.checked_shl(bit).unwrap_or(0)
     }
+
+    fn count_fused_events(&mut self, n: u64) {
+        debug_assert!(
+            self.count + n < self.target || self.count >= self.target + self.k,
+            "fused events must lie outside the burst window"
+        );
+        self.count += n;
+    }
 }
 
 #[cfg(test)]

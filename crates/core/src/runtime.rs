@@ -53,6 +53,10 @@ impl FiRuntime for ProfilingRt {
         value
     }
 
+    fn count_fused_events(&mut self, n: u64) {
+        self.count += n;
+    }
+
     fn fi_count(&self) -> u64 {
         self.count
     }
@@ -132,6 +136,14 @@ impl FiRuntime for InjectingRt {
         value ^ 1u64.checked_shl(bit).unwrap_or(0)
     }
 
+    fn count_fused_events(&mut self, n: u64) {
+        debug_assert!(
+            self.fired() || self.count + n < self.target,
+            "fused events must not cover the target event"
+        );
+        self.count += n;
+    }
+
     fn fi_count(&self) -> u64 {
         self.count
     }
@@ -176,6 +188,14 @@ impl FiRuntime for ReplayRt {
         } else {
             value
         }
+    }
+
+    fn count_fused_events(&mut self, n: u64) {
+        debug_assert!(
+            self.fired || self.count + n < self.record.dynamic_index,
+            "fused events must not cover the replayed event"
+        );
+        self.count += n;
     }
 }
 

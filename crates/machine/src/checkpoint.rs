@@ -158,6 +158,13 @@ impl CheckpointBuilder {
         retired > 0 && retired.is_multiple_of(self.interval)
     }
 
+    /// The first retired count after `retired` at which a snapshot is due
+    /// (under the current interval).
+    #[inline]
+    pub fn next_due(&self, retired: u64) -> u64 {
+        (retired / self.interval + 1) * self.interval
+    }
+
     /// Record a snapshot. When the cap is reached, every other snapshot is
     /// dropped and the interval doubles; survivors (even multiples of the
     /// old interval) stay aligned to the new one, and `ck` itself is kept

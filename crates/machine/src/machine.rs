@@ -525,24 +525,26 @@ impl<'a> Machine<'a> {
     }
 
     /// Post-injection convergence loop for call-hook tools (REFINE, LLFI):
-    /// continue from the just-fired state under a counting-only runtime,
+    /// continue from the just-fired state under the live (fired) injector,
     /// comparing the incremental state digest against each golden snapshot
     /// when the trial reaches the snapshot's `(fi_count, pc)` position; on
-    /// match, splice the golden suffix and return its outcome. `rt.count`
-    /// must hold the FI-event count *after* the fault fired (identical to
-    /// what the profiling run had counted at the same point on
-    /// convergence).
+    /// match, splice the golden suffix and return its outcome.
+    /// `rt.fi_count()` must hold the FI-event count *after* the fault fired
+    /// (identical to what the profiling run had counted at the same point
+    /// on convergence). Keeping the injector attached means a `setupFI`
+    /// re-entered through corrupted control flow draws and logs exactly as
+    /// on the exact interpreter.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_converging_calls(
+    pub fn run_converging_calls<R: FiRuntime + ?Sized>(
         &mut self,
         pre: &Predecoded,
-        rt: &mut QuiescentRt,
+        rt: &mut R,
         store: &CheckpointStore,
         golden: GoldenEnd<'_>,
         max_cycles: u64,
         stats: &mut ConvStats,
     ) -> RunOutcome {
-        self.converge_core::<QuiescentRt, false>(pre, rt, &mut 0, store, golden, max_cycles, stats)
+        self.converge_core::<R, false>(pre, rt, &mut 0, store, golden, max_cycles, stats)
     }
 
     /// Post-injection convergence loop for the probed tool (PINFI). The

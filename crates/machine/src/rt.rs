@@ -22,6 +22,15 @@ pub trait FiRuntime {
     /// substitute.
     fn llfi_inject(&mut self, site: u64, value: u64, bits: u32) -> u64;
 
+    /// Count `n` FI events the superblock engine retired in bulk (collapsed
+    /// non-firing `selInstr` sites, fused LLFI inject calls) without
+    /// calling [`FiRuntime::sel_instr`] / [`FiRuntime::llfi_inject`].
+    /// Equivalent to `n` such calls that neither fire nor change a value;
+    /// the engine only reports events at which the runtime cannot fire
+    /// (before the stop count, or after the fault fired). Required, so a
+    /// runtime that counts cannot silently lose events.
+    fn count_fused_events(&mut self, n: u64);
+
     /// Number of FI population events this runtime has counted so far.
     /// Checkpointed profiling stamps snapshots with this value; runtimes
     /// that keep no counter report 0.
@@ -39,8 +48,8 @@ pub trait FiRuntime {
 
 /// The counting-only runtime of the checkpoint fast path: semantically
 /// identical to the profiling library (count every event, never fire), but
-/// a concrete type so [`crate::Machine::run_quiescent_calls`]
-/// monomorphizes the hook dispatch away.
+/// a concrete type so [`crate::Machine::run_quiescent_calls`] and
+/// [`crate::Machine::run_sb_calls`] monomorphize the hook dispatch away.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct QuiescentRt {
     /// FI population events counted so far.
@@ -71,6 +80,10 @@ impl FiRuntime for QuiescentRt {
         value
     }
 
+    fn count_fused_events(&mut self, n: u64) {
+        self.count += n;
+    }
+
     fn fi_count(&self) -> u64 {
         self.count
     }
@@ -92,6 +105,8 @@ impl FiRuntime for NoFi {
     fn llfi_inject(&mut self, _site: u64, value: u64, _bits: u32) -> u64 {
         value
     }
+
+    fn count_fused_events(&mut self, _n: u64) {}
 }
 
 /// Packing helpers for the `setupFI` immediate: REFINE's backend pass knows

@@ -57,6 +57,9 @@ impl FiRuntime for BurstInjector {
     fn llfi_inject(&mut self, _site: u64, value: u64, _bits: u32) -> u64 {
         value
     }
+    fn count_fused_events(&mut self, n: u64) {
+        self.count += n;
+    }
 }
 
 /// Custom library #2: a site histogrammer — never injects, records which
@@ -75,6 +78,9 @@ impl FiRuntime for SiteHistogram {
     }
     fn llfi_inject(&mut self, _site: u64, value: u64, _bits: u32) -> u64 {
         value
+    }
+    fn count_fused_events(&mut self, _n: u64) {
+        unreachable!("a per-site histogram needs every selInstr call; run it on the exact interpreter")
     }
 }
 

@@ -80,6 +80,44 @@ fn late_targets_restore_from_checkpoints() {
     assert!(!t.fast.restored);
 }
 
+/// Call-hook artifacts are profiled on the superblock engine. Over the
+/// whole suite, that run must produce the exact interpreter's result and
+/// exactly its checkpoint store: same snapshot points, state and digests.
+#[test]
+fn fused_profiling_matches_exact_profiling() {
+    use refine_core::{FiOptions, ProfilingRt};
+    use refine_ir::passes::OptLevel;
+    use refine_machine::{Checkpoint, Machine, RunConfig, SuperblockProgram};
+    let cfg = RunConfig { max_cycles: u64::MAX / 4, stack_words: 1 << 16 };
+    let ck = CheckpointOptions::default().machine_config();
+    let key = |c: &Checkpoint| {
+        (c.pc, c.retired, c.cycles, c.fi_count, c.regs, c.fregs, c.flags, c.digest)
+    };
+    for b in refine_benchmarks::all() {
+        let m = b.module();
+        let refine = refine_core::compile_with_fi(&m, OptLevel::O2, &FiOptions::all()).binary;
+        let llfi = refine_llfi::compile_with_llfi(&m, OptLevel::O2, &Default::default()).0.binary;
+        for (tool, bin) in [("REFINE", refine), ("LLFI", llfi)] {
+            let sb = SuperblockProgram::new(&bin);
+            let (mut rf, mut re) = (ProfilingRt::default(), ProfilingRt::default());
+            let (fused, fs) = Machine::run_sb_checkpointed(&bin, &cfg, &sb, &mut rf, &ck);
+            let (exact, es) = Machine::run_checkpointed(&bin, &cfg, &mut re, None, &ck);
+            let ctx = format!("{} {tool}", b.name);
+            assert_eq!(rf.count, re.count, "{ctx}: population");
+            assert_eq!(fused.outcome, exact.outcome, "{ctx}: outcome");
+            assert_eq!((fused.cycles, fused.instrs_retired), (exact.cycles, exact.instrs_retired));
+            assert_eq!(fused.output, exact.output, "{ctx}: output");
+            assert_eq!(fs.interval, es.interval, "{ctx}: interval");
+            assert_eq!(fs.len(), es.len(), "{ctx}: snapshots");
+            for (f, e) in fs.checkpoints.iter().zip(&es.checkpoints) {
+                assert_eq!(key(f), key(e), "{ctx}: snapshot at {}", e.retired);
+                assert_eq!((&f.data_pages, &f.stack_pages), (&e.data_pages, &e.stack_pages));
+                assert_eq!(f.output, e.output, "{ctx}: snapshot output");
+            }
+        }
+    }
+}
+
 /// Per-trial differential harness: prepare one kernel with a custom
 /// checkpoint interval and compare the fast path against the exact path at
 /// one (target, seed) point — outcome, output, cycles, retired count and

@@ -118,6 +118,33 @@ fn no_convergence_disables_the_detector() {
     }
 }
 
+/// Regression: after a fault corrupts control flow, a trial can reach
+/// `setupFI` again without a firing `selInstr`. The exact interpreter
+/// (injector still attached) then draws and logs a second fault; the
+/// convergence loops must do the same, so they run post-fire with the live
+/// injector. Pinned at the first case found (SP, `-fi-instrs=stack`).
+#[test]
+fn reentered_setup_fi_draws_like_the_oracle() {
+    use refine_core::{ExecEngine, FaultRecord, FiOptions, InstrClass};
+    use refine_machine::{RunOutcome, Trap};
+    let m = refine_benchmarks::by_name("SP").unwrap().module();
+    let opts = FiOptions { fi: true, fi_instrs: InstrClass::Stack, ..FiOptions::all() };
+    let p = PreparedTool::prepare_refine_with(&m, &opts);
+    let (target, seed) = (875, 5_916_320_975_742_425_873);
+    let exact = p.run_trial_exact(target, seed);
+    assert!(matches!(exact.result.outcome, RunOutcome::Trap(Trap::Segfault(_))));
+    let log = exact.log.expect("fault fired");
+    assert_eq!((log.operand, log.bit), (0, 62), "second fault overwrote the log");
+    for engine in [ExecEngine::Superblock, ExecEngine::Step] {
+        let t = p.run_trial_engine(engine, target, seed);
+        assert_eq!(t.result.outcome, exact.result.outcome, "{engine:?}: outcome");
+        assert_eq!(t.result.output, exact.result.output, "{engine:?}: output");
+        assert_eq!(t.result.cycles, exact.result.cycles, "{engine:?}: cycles");
+        assert_eq!(t.result.instrs_retired, exact.result.instrs_retired, "{engine:?}: retired");
+        assert_eq!(t.log, Some::<FaultRecord>(log), "{engine:?}: fault record");
+    }
+}
+
 /// Per-trial differential harness: prepare one kernel with a custom
 /// checkpoint interval (convergence on) and compare the fast path against
 /// the exact path at one (target, seed) point — outcome, output, cycles,

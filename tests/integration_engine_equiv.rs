@@ -122,6 +122,28 @@ fn engines_byte_identical_without_checkpoints() {
     assert_eq!(sb_rec, step_rec);
 }
 
+/// Every `selInstr` call REFINE emits for the paper suite is part of the
+/// non-firing site idiom the superblock builder collapses into one µop. An
+/// instrumentation change that breaks the idiom fails here instead of
+/// silently losing the fused fast path.
+#[test]
+fn every_refine_site_collapses_into_one_uop() {
+    use refine_core::FiOptions;
+    use refine_ir::passes::OptLevel;
+    use refine_machine::{MInstr, RtFunc, SuperblockProgram};
+    for b in refine_benchmarks::all() {
+        let c = refine_core::compile_with_fi(&b.module(), OptLevel::O2, &FiOptions::all());
+        let calls = c
+            .binary
+            .text
+            .iter()
+            .filter(|i| matches!(i, MInstr::CallRt { func: RtFunc::FiSelInstr, .. }))
+            .count();
+        assert!(calls > 0, "{}", b.name);
+        assert_eq!(SuperblockProgram::new(&c.binary).collapsed_sites(), calls, "{}", b.name);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Property layer: run_trial_engine vs the run_trial_exact oracle.
 // ---------------------------------------------------------------------------

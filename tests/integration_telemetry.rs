@@ -150,3 +150,39 @@ fn untraced_campaign_is_unchanged_by_observers() {
     );
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn artifact_cache_counts_only_demand_lookups() {
+    // The sweep report reads each campaign's artifact back from the cache;
+    // that read must not count as a hit. A `--jobs 1` sweep over N distinct
+    // artifacts prepares each once and never re-fetches one, so it reports
+    // N misses and 0 hits, and the telemetry counters agree. (The other
+    // tests here use pre-prepared artifacts, which bypass the cache.)
+    use refine_campaign::engine::{
+        run_sweep, ArtifactCache, ArtifactSource, EngineCampaign, EngineConfig, EngineHooks,
+    };
+    use std::sync::Arc;
+    refine_telemetry::enable();
+    let reg = refine_telemetry::registry();
+    let (hits0, misses0) = (reg.artifact_cache_hits.get(), reg.artifact_cache_misses.get());
+    let module = Arc::new(refine_benchmarks::by_name("matmul").unwrap().module());
+    let specs: Vec<EngineCampaign> = Tool::all()
+        .into_iter()
+        .map(|tool| EngineCampaign {
+            app: "matmul".into(),
+            tool,
+            source: ArtifactSource::Module(Arc::clone(&module)),
+        })
+        .collect();
+    let cfg = EngineConfig::from_campaign(&CampaignConfig {
+        trials: 4,
+        seed: 3,
+        jobs: 1,
+        ..CampaignConfig::default()
+    });
+    let report = run_sweep(&specs, &cfg, &ArtifactCache::new(), &EngineHooks::default());
+    let n = specs.len() as u64;
+    assert_eq!((report.cache.misses, report.cache.hits), (n, 0));
+    assert_eq!(reg.artifact_cache_misses.get() - misses0, n);
+    assert_eq!(reg.artifact_cache_hits.get() - hits0, 0);
+}
