@@ -10,6 +10,12 @@ cargo build --release --offline
 echo "== cargo test"
 cargo test -q --offline
 
+echo "== perfbench build and tests (benchmark contract)"
+# perfbench/ is the benchmark of record: a package of its own, built
+# --locked against the workspace crates by path. Building and testing it
+# here makes a workspace API or dependency change that breaks it fail CI.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 

@@ -27,7 +27,7 @@
 use refine_campaign::{classify, format_events, Golden};
 use refine_core::{compile_with_fi, FiOptions, InjectingRt, ProfilingRt};
 use refine_ir::passes::OptLevel;
-use refine_machine::{Machine, NoFi, RunConfig, RunOutcome};
+use refine_machine::{Machine, NoFi, RunConfig, RunOutcome, RunResult};
 
 fn usage() -> ! {
     eprintln!(
@@ -36,6 +36,18 @@ fn usage() -> ! {
          [--inject <target>] [--seed N] [--times]"
     );
     std::process::exit(2);
+}
+
+/// The exit code of `r`, or — when the run trapped or timed out — exit
+/// 101 with the outcome on stderr (`what` names the run).
+fn clean_exit_code(r: &RunResult, what: &str) -> i64 {
+    match r.outcome {
+        RunOutcome::Exit(code) => code,
+        other => {
+            eprintln!("minicc: {what} did not exit cleanly: {other:?}");
+            std::process::exit(101);
+        }
+    }
 }
 
 enum Mode {
@@ -175,13 +187,7 @@ fn main() {
             for line in format_events(&r.output) {
                 println!("{line}");
             }
-            match r.outcome {
-                RunOutcome::Exit(code) => std::process::exit(code as i32),
-                other => {
-                    eprintln!("minicc: program did not exit cleanly: {other:?}");
-                    std::process::exit(101);
-                }
-            }
+            std::process::exit(clean_exit_code(&r, "program") as i32);
         }
         Mode::Stats => {
             let r = Machine::run(&compiled.binary, &RunConfig::default(), &mut NoFi, None);
@@ -194,6 +200,7 @@ fn main() {
         Mode::Profile => {
             let mut rt = ProfilingRt::default();
             let r = Machine::run(&compiled.binary, &RunConfig::default(), &mut rt, None);
+            clean_exit_code(&r, "golden run");
             println!("dynamic FI targets : {}", rt.count);
             println!("profile cycles     : {}", r.cycles);
             println!("golden output      :");
@@ -208,6 +215,7 @@ fn main() {
             }
             let mut prof = ProfilingRt::default();
             let profile = Machine::run(&compiled.binary, &RunConfig::default(), &mut prof, None);
+            clean_exit_code(&profile, "golden run");
             let golden = Golden::from_run(&profile);
             let cfg = RunConfig {
                 max_cycles: profile.cycles.saturating_mul(10),

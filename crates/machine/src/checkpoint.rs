@@ -41,11 +41,14 @@ pub struct DirtyPage {
     pub words: Box<[u64]>,
 }
 
-/// Diff a memory segment against its baseline (`None` = all zeros),
-/// returning the pages that changed.
-pub fn diff_pages(cur: &[u64], baseline: Option<&[u64]>) -> Vec<DirtyPage> {
+/// Diff a memory segment against its baseline (`None` = all zeros) from
+/// page `first_page` on, returning the pages that changed. Pages below
+/// `first_page` must be known clean (the caller's contract).
+pub fn diff_pages(cur: &[u64], baseline: Option<&[u64]>, first_page: usize) -> Vec<DirtyPage> {
     let mut out = Vec::new();
-    for (i, chunk) in cur.chunks(PAGE_WORDS).enumerate() {
+    let from = (first_page * PAGE_WORDS).min(cur.len());
+    for (i, chunk) in cur[from..].chunks(PAGE_WORDS).enumerate() {
+        let i = first_page + i;
         let start = i * PAGE_WORDS;
         let clean = match baseline {
             Some(b) => chunk == &b[start..start + chunk.len()],
@@ -333,7 +336,7 @@ mod tests {
         cur[3] = 999; // page 0
         cur[130] = 7; // page 2
         cur[199] = 1; // page 3 (partial)
-        let pages = diff_pages(&cur, Some(&baseline));
+        let pages = diff_pages(&cur, Some(&baseline), 0);
         assert_eq!(pages.iter().map(|p| p.index).collect::<Vec<_>>(), vec![0, 2, 3]);
         assert_eq!(pages[2].words.len(), 200 - 3 * PAGE_WORDS);
         let mut restored = baseline.clone();
@@ -344,11 +347,16 @@ mod tests {
     #[test]
     fn zero_baseline_diffs_against_zeros() {
         let mut cur = vec![0u64; 3 * PAGE_WORDS];
-        assert!(diff_pages(&cur, None).is_empty());
+        assert!(diff_pages(&cur, None, 0).is_empty());
         cur[PAGE_WORDS] = 5;
-        let pages = diff_pages(&cur, None);
+        let pages = diff_pages(&cur, None, 0);
         assert_eq!(pages.len(), 1);
         assert_eq!(pages[0].index, 1);
+        // Starting at or below the lowest dirty page loses nothing; past
+        // the segment end finds nothing.
+        assert_eq!(diff_pages(&cur, None, 1), pages);
+        assert!(diff_pages(&cur, None, 2).is_empty());
+        assert!(diff_pages(&cur, None, 9).is_empty());
         let mut restored = vec![0u64; 3 * PAGE_WORDS];
         apply_pages(&pages, &mut restored);
         assert_eq!(restored, cur);

@@ -287,13 +287,16 @@ pub struct ConvHasher {
 impl ConvHasher {
     /// Build the hasher from the current machine memory by scanning it
     /// against the baseline: clean pages reuse the precomputed baseline
-    /// hash (a page-sized compare), touched pages are rehashed. Also
-    /// absorbs the output emitted so far.
+    /// hash (a page-sized compare), touched pages are rehashed. Stack
+    /// pages below `stack_first_page` must be all zero (the machine's
+    /// stack low-water mark guarantees it) and keep their baseline hash
+    /// unscanned. Also absorbs the output emitted so far.
     pub fn scan(
         base: &BaselineHashes,
         data: &[u64],
         data_baseline: &[u64],
         stack: &[u64],
+        stack_first_page: usize,
         output: &[OutEvent],
     ) -> ConvHasher {
         let mut h = ConvHasher {
@@ -315,9 +318,10 @@ impl ConvHasher {
                 h.rehash(i as u32, chunk, Seg::Data);
             }
         }
-        for (i, chunk) in stack.chunks(PAGE_WORDS).enumerate() {
+        let from = (stack_first_page * PAGE_WORDS).min(stack.len());
+        for (i, chunk) in stack[from..].chunks(PAGE_WORDS).enumerate() {
             if chunk.iter().any(|&w| w != 0) {
-                h.rehash(i as u32, chunk, Seg::Stack);
+                h.rehash((stack_first_page + i) as u32, chunk, Seg::Stack);
             }
         }
         for ev in output {
@@ -422,7 +426,7 @@ mod tests {
         stack: &[u64],
         output: &[OutEvent],
     ) -> StateDigest {
-        let h = ConvHasher::scan(base, data, data_baseline, stack, output);
+        let h = ConvHasher::scan(base, data, data_baseline, stack, 0, output);
         h.digest(&[0; 16], &[0; 16], 0, 0, 0)
     }
 
@@ -431,7 +435,7 @@ mod tests {
         let data: Vec<u64> = (0..300).collect();
         let base = BaselineHashes::new(&data, 200, (0, 0));
         let stack = vec![0u64; 200];
-        let h = ConvHasher::scan(&base, &data, &data, &stack, &[]);
+        let h = ConvHasher::scan(&base, &data, &data, &stack, 0, &[]);
         assert_eq!(h.agg, base.agg);
     }
 
@@ -441,7 +445,7 @@ mod tests {
         let base = BaselineHashes::new(&baseline, 200, (0, 0));
         let mut data = baseline.clone();
         let mut stack = vec![0u64; 200];
-        let mut h = ConvHasher::scan(&base, &data, &baseline, &stack, &[]);
+        let mut h = ConvHasher::scan(&base, &data, &baseline, &stack, 0, &[]);
 
         // Mutate a few words across pages, marking as the machine would.
         data[3] = 111;
@@ -458,12 +462,35 @@ mod tests {
     }
 
     #[test]
+    fn scan_from_the_stack_low_water_page_matches_full_scan() {
+        let baseline: Vec<u64> = (0..100).collect();
+        let base = BaselineHashes::new(&baseline, 5 * PAGE_WORDS, (0, 0));
+        let mut data = baseline.clone();
+        data[7] = 1;
+        let mut stack = vec![0u64; 5 * PAGE_WORDS];
+        stack[2 * PAGE_WORDS + 5] = 9;
+        stack[5 * PAGE_WORDS - 1] = 4;
+        let out = vec![OutEvent::I64(3)];
+        let regs = [6u64; 16];
+        let full = ConvHasher::scan(&base, &data, &baseline, &stack, 0, &out);
+        let want = full.digest(&regs, &[0; 16], 1, 2, 3);
+        for first in 1..=2 {
+            let h = ConvHasher::scan(&base, &data, &baseline, &stack, first, &out);
+            assert_eq!(h.digest(&regs, &[0; 16], 1, 2, 3), want, "first page {first}");
+        }
+        // The skipped pages really are unscanned: starting above a dirty
+        // page drops it from the digest.
+        let h = ConvHasher::scan(&base, &data, &baseline, &stack, 3, &out);
+        assert_ne!(h.digest(&regs, &[0; 16], 1, 2, 3), want);
+    }
+
+    #[test]
     fn double_mark_and_revert_stay_consistent() {
         let baseline: Vec<u64> = vec![5; 2 * PAGE_WORDS];
         let base = BaselineHashes::new(&baseline, PAGE_WORDS, (0, 0));
         let mut data = baseline.clone();
         let stack = vec![0u64; PAGE_WORDS];
-        let mut h = ConvHasher::scan(&base, &data, &baseline, &stack, &[]);
+        let mut h = ConvHasher::scan(&base, &data, &baseline, &stack, 0, &[]);
         // Write and write back: page hash must return to baseline.
         data[0] = 99;
         h.mark_data(0);
@@ -487,12 +514,12 @@ mod tests {
         let regs = [3u64; 16];
         let fregs = [4u64; 16];
 
-        let data_pages = crate::checkpoint::diff_pages(&data, Some(&baseline));
-        let stack_pages = crate::checkpoint::diff_pages(&stack, None);
+        let data_pages = crate::checkpoint::diff_pages(&data, Some(&baseline), 0);
+        let stack_pages = crate::checkpoint::diff_pages(&stack, None, 0);
         let golden = base.checkpoint_digest(
             &regs, &fregs, 2, 17, 5, &out, &data_pages, &stack_pages,
         );
-        let h = ConvHasher::scan(&base, &data, &baseline, &stack, &out);
+        let h = ConvHasher::scan(&base, &data, &baseline, &stack, 0, &out);
         assert_eq!(h.digest(&regs, &fregs, 2, 17, 5), golden);
     }
 
@@ -505,7 +532,7 @@ mod tests {
 
         let mut regs = [0u64; 16];
         regs[7] = 1;
-        let h = ConvHasher::scan(&base, &baseline, &baseline, &stack, &[]);
+        let h = ConvHasher::scan(&base, &baseline, &baseline, &stack, 0, &[]);
         assert_ne!(h.digest(&regs, &[0; 16], 0, 0, 0), d0, "regs");
         assert_ne!(h.digest(&[0; 16], &[0; 16], 1, 0, 0), d0, "flags");
         assert_ne!(h.digest(&[0; 16], &[0; 16], 0, 1, 0), d0, "pc");
@@ -539,13 +566,13 @@ mod tests {
         let mut data = baseline.clone();
         data[PAGE_WORDS + 3] = 0xDEAD_BEEF;
         assert_eq!(digest_of(&base, &data, &baseline, &stack, &[]), d0, "scan path");
-        let mut h = ConvHasher::scan(&base, &baseline, &baseline, &stack, &[]);
+        let mut h = ConvHasher::scan(&base, &baseline, &baseline, &stack, 0, &[]);
         h.mark_data(1);
         h.refresh(&data, &stack, &[]);
         assert_eq!(h.digest(&[0; 16], &[0; 16], 0, 0, 0), d0, "incremental path");
 
         // ... and the golden (checkpoint) side must agree.
-        let pages = crate::checkpoint::diff_pages(&data, Some(&baseline));
+        let pages = crate::checkpoint::diff_pages(&data, Some(&baseline), 0);
         let golden = base.checkpoint_digest(
             &[0; 16], &[0; 16], 0, 0, 0, &[], &pages, &[],
         );

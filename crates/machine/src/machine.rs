@@ -181,6 +181,10 @@ pub struct Machine<'a> {
     pub(crate) data: Vec<u64>,
     pub(crate) stack: Vec<u64>,
     pub(crate) stack_base: u64,
+    /// Stack low-water mark: every stack word below this index is zero.
+    /// Only the stack branch of [`Machine::mem_write_t`] lowers it, so
+    /// snapshots and convergence seeding scan just the touched stack.
+    pub(crate) stack_lo: usize,
     pub(crate) output: Vec<OutEvent>,
     pub(crate) cycles: u64,
     pub(crate) instrs_retired: u64,
@@ -202,6 +206,7 @@ impl<'a> Machine<'a> {
             data: binary.data.clone(),
             stack: vec![0; cfg.stack_words],
             stack_base,
+            stack_lo: cfg.stack_words,
             output: Vec::new(),
             cycles: 0,
             instrs_retired: 0,
@@ -276,6 +281,10 @@ impl<'a> Machine<'a> {
         m.output = ck.output.clone();
         apply_pages(&ck.data_pages, &mut m.data);
         apply_pages(&ck.stack_pages, &mut m.stack);
+        // Pages below the lowest captured one are clean, i.e. zero.
+        if let Some(p) = ck.stack_pages.first() {
+            m.stack_lo = p.index as usize * PAGE_WORDS;
+        }
         m
     }
 
@@ -291,8 +300,8 @@ impl<'a> Machine<'a> {
             retired: self.instrs_retired,
             fi_count,
             output: self.output.clone(),
-            data_pages: diff_pages(&self.data, Some(&self.binary.data)),
-            stack_pages: diff_pages(&self.stack, None),
+            data_pages: diff_pages(&self.data, Some(&self.binary.data), 0),
+            stack_pages: diff_pages(&self.stack, None, self.stack_lo / PAGE_WORDS),
             digest: StateDigest::ZERO, // stamped by CheckpointBuilder::push
         }
     }
@@ -612,15 +621,9 @@ impl<'a> Machine<'a> {
             if let Some(ck) = store.checkpoints.get(cursor) {
                 if ck.fi_count == fi && ck.pc == self.pc {
                     if !inited {
-                        // One full scan seeds the hasher; later checks pay
-                        // only for pages written since.
-                        self.conv = Some(Box::new(ConvHasher::scan(
-                            &store.baseline,
-                            &self.data,
-                            &self.binary.data,
-                            &self.stack,
-                            &self.output,
-                        )));
+                        // One scan seeds the hasher; later checks pay only
+                        // for pages written since.
+                        self.conv_seed(&store.baseline);
                         inited = true;
                     }
                     let digest = self.conv_refresh(fi);
@@ -684,6 +687,19 @@ impl<'a> Machine<'a> {
             stats.checked_instrs = self.instrs_retired - entry_retired;
         }
         outcome
+    }
+
+    /// Seed the convergence hasher with one scan of current memory and
+    /// output; the stack is scanned from its low-water page only.
+    pub(crate) fn conv_seed(&mut self, baseline: &BaselineHashes) {
+        self.conv = Some(Box::new(ConvHasher::scan(
+            baseline,
+            &self.data,
+            &self.binary.data,
+            &self.stack,
+            self.stack_lo / PAGE_WORDS,
+            &self.output,
+        )));
     }
 
     /// Refresh the active convergence hasher against current memory and
@@ -752,6 +768,9 @@ impl<'a> Machine<'a> {
         if addr >= self.stack_base && addr < STACK_TOP {
             let w = ((addr - self.stack_base) / 8) as usize;
             self.stack[w] = val;
+            if w < self.stack_lo {
+                self.stack_lo = w;
+            }
             if TRACK {
                 if let Some(c) = self.conv.as_mut() {
                     c.mark_stack((w / PAGE_WORDS) as u32);
@@ -1037,6 +1056,7 @@ pub(crate) enum Step {
 mod tests {
     use super::*;
     use crate::binary::Symbol;
+    use crate::checkpoint::DirtyPage;
     use crate::isa::Cc;
     use crate::rt::NoFi;
 
@@ -1308,6 +1328,120 @@ mod tests {
         assert_eq!(m.flags, 0b10);
         m.flip(Reg::F(1), 63);
         assert_eq!(f64::from_bits(m.fregs[1]), -0.0);
+    }
+
+    /// Small stack for the low-water tests: each exact step diffs all of it.
+    const LO_CFG: RunConfig = RunConfig { max_cycles: 1_000_000, stack_words: 4096 };
+
+    /// `main` calls `rec(r1)` (two stack words per level) with each depth
+    /// in `depths`, running `extra` right before the last call, then exits 0.
+    fn calls_bin(depths: &[i64], extra: &[MInstr]) -> Binary {
+        let rec = (2 * depths.len() + extra.len() + 2) as u32;
+        let mut t = Vec::new();
+        for (i, &d) in depths.iter().enumerate() {
+            if i + 1 == depths.len() {
+                t.extend_from_slice(extra);
+            }
+            t.push(MInstr::MovRI { rd: 1, imm: d });
+            t.push(MInstr::Call { target: rec });
+        }
+        t.push(MInstr::MovRI { rd: 0, imm: 0 });
+        t.push(MInstr::Halt);
+        assert_eq!(t.len() as u32, rec);
+        t.extend([
+            MInstr::CmpI { ra: 1, imm: 0 },
+            MInstr::Jcc { cc: Cc::E, target: rec + 6 },
+            MInstr::Push { rs: 1 },
+            MInstr::AluI { op: AluOp::Sub, rd: 1, ra: 1, imm: 1 },
+            MInstr::Call { target: rec },
+            MInstr::Pop { rd: 1 },
+            MInstr::Ret,
+        ]);
+        bin(t)
+    }
+
+    /// Full-stack dirty pages of an exact machine after each retired count
+    /// (index 0: the initial state).
+    fn full_stack_diffs(b: &Binary) -> Vec<Vec<DirtyPage>> {
+        let mut m = Machine::new(b, &LO_CFG);
+        let mut out = vec![diff_pages(&m.stack, None, 0)];
+        while let Ok(Step::Continue) = m.step(&b.text[m.pc as usize], &mut NoFi) {
+            out.push(diff_pages(&m.stack, None, 0));
+        }
+        out
+    }
+
+    /// Profile `b` with a snapshot every `interval` instructions and
+    /// require each snapshot's stack pages to equal the full-stack diff at
+    /// the same retired count. Returns the store.
+    fn assert_snapshots_take_the_full_diff(b: &Binary, interval: u64) -> CheckpointStore {
+        let full = full_stack_diffs(b);
+        let ck = CheckpointConfig { interval, max_checkpoints: 1 << 20, ..Default::default() };
+        let (r, store) = Machine::run_checkpointed(b, &LO_CFG, &mut NoFi, None, &ck);
+        assert_eq!(r.outcome, RunOutcome::Exit(0));
+        assert_eq!(store.len() as u64, r.instrs_retired / interval);
+        for c in &store.checkpoints {
+            assert_eq!(c.stack_pages, full[c.retired as usize], "retired {}", c.retired);
+        }
+        store
+    }
+
+    #[test]
+    fn snapshots_keep_deep_frames_after_the_stack_unwinds() {
+        let b = calls_bin(&[150, 1, 2], &[]);
+        let store = assert_snapshots_take_the_full_diff(&b, 3);
+        // The unwound recursion's frames stay in memory, so snapshots taken
+        // during the later shallow calls still hold all of their pages.
+        let last = store.checkpoints.last().unwrap();
+        assert!(last.stack_pages.len() >= 5, "{} pages", last.stack_pages.len());
+    }
+
+    #[test]
+    fn wild_store_far_below_sp_lowers_the_mark() {
+        let wild = [
+            MInstr::MovRI { rd: 2, imm: 0x55 },
+            MInstr::St { rs: 2, mem: Mem::base_disp(SP, -8 * 3000) },
+        ];
+        let b = calls_bin(&[3, 1], &wild);
+        let store = assert_snapshots_take_the_full_diff(&b, 1);
+        let wild_page = ((LO_CFG.stack_words - 3000) / PAGE_WORDS) as u32;
+        let lowest = |c: &Checkpoint| c.stack_pages.first().map(|p| p.index);
+        assert!(store.checkpoints.iter().any(|c| lowest(c) == Some(wild_page)));
+        let mut m = Machine::new(&b, &LO_CFG);
+        let r = m.exec_loop(LO_CFG.max_cycles, &mut NoFi, None, None, None, false);
+        assert_eq!(r, Some(RunOutcome::Exit(0)));
+        assert_eq!(m.stack_lo, LO_CFG.stack_words - 3000);
+    }
+
+    #[test]
+    fn resume_sets_the_mark_to_the_lowest_captured_page() {
+        let b = calls_bin(&[150, 1, 2], &[]);
+        let full = full_stack_diffs(&b);
+        let store = assert_snapshots_take_the_full_diff(&b, 7);
+        for ck in store.checkpoints.iter().step_by(40) {
+            let mut m = Machine::resume(&b, &LO_CFG, ck);
+            let lo = ck.stack_pages.first().map(|p| p.index as usize * PAGE_WORDS);
+            assert_eq!(m.stack_lo, lo.unwrap_or(LO_CFG.stack_words));
+            assert!(m.stack[..m.stack_lo].iter().all(|&w| w == 0));
+            // Carry on to the end, snapshotting and seeding at every step.
+            loop {
+                let retired = m.instrs_retired as usize;
+                assert_eq!(m.snapshot(0).stack_pages, full[retired], "retired {retired}");
+                m.conv_seed(&store.baseline);
+                let seeded = m.conv.take().unwrap().digest(&m.regs, &m.fregs, m.flags, m.pc, 0);
+                let full_scan =
+                    ConvHasher::scan(&store.baseline, &m.data, &b.data, &m.stack, 0, &m.output);
+                let scanned = full_scan.digest(&m.regs, &m.fregs, m.flags, m.pc, 0);
+                assert_eq!(seeded, scanned, "retired {retired}");
+                match m.step(&b.text[m.pc as usize], &mut NoFi) {
+                    Ok(Step::Continue) => m.instrs_retired += 1,
+                    other => {
+                        assert!(matches!(other, Ok(Step::Halt(0))));
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     /// Probe injection: flip the destination of a mov right after it

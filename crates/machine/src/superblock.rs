@@ -59,7 +59,7 @@ use crate::binary::Binary;
 use crate::checkpoint::{
     CheckpointBuilder, CheckpointConfig, CheckpointStore, Predecoded, PAGE_WORDS,
 };
-use crate::digest::{BaselineHashes, ConvHasher};
+use crate::digest::BaselineHashes;
 use crate::isa::{AluOp, Cc, CvtKind, FAluOp, MInstr, Mem, RtFunc};
 use crate::machine::{
     ConvStats, GoldenEnd, Machine, RunConfig, RunOutcome, RunResult, Step, Trap, GLOBAL_BASE,
@@ -594,13 +594,7 @@ impl<'a> Machine<'a> {
             if let Some(ck) = store.checkpoints.get(cursor) {
                 if ck.fi_count == fi && ck.pc == self.pc {
                     if !inited {
-                        self.conv = Some(Box::new(ConvHasher::scan(
-                            &store.baseline,
-                            &self.data,
-                            &self.binary.data,
-                            &self.stack,
-                            &self.output,
-                        )));
+                        self.conv_seed(&store.baseline);
                         inited = true;
                     }
                     let digest = self.conv_refresh(fi);
