@@ -10,7 +10,15 @@
 //! ```text
 //! REFINE_UPDATE_GOLDEN=1 cargo test --test integration_golden
 //! ```
+//!
+//! The same directory pins one end-to-end result: Table 6 of a small
+//! fixed-seed sweep over all 14 apps x 3 tools. Every engine, checkpoint and
+//! convergence equivalence suite compares one tier against another, so a
+//! drift that moves all tiers at once (a compiler pass, the RNG, the
+//! classifier) passes them; it fails here.
 
+use refine_campaign::campaign::CampaignConfig;
+use refine_campaign::experiments::{run_suite, table6};
 use refine_campaign::format_events;
 use refine_ir::interp::{Interp, OutEvent as IrEvent};
 use refine_ir::passes::OptLevel;
@@ -24,6 +32,9 @@ fn golden_dir() -> PathBuf {
 fn snapshot_path(name: &str) -> PathBuf {
     golden_dir().join(format!("{name}.txt"))
 }
+
+/// Snapshot of [`table6_matches_pinned_snapshot`]'s sweep.
+const TABLE6_SNAPSHOT: &str = "table6-n12-seed7.txt";
 
 fn programs() -> Vec<refine_benchmarks::BenchProgram> {
     let mut all = refine_benchmarks::all();
@@ -109,7 +120,9 @@ fn interpreter_matches_snapshots() {
 /// exist (renames must move their snapshot).
 #[test]
 fn no_orphan_snapshots() {
-    let known: Vec<String> = programs().iter().map(|b| format!("{}.txt", b.name)).collect();
+    let mut known: Vec<String> =
+        programs().iter().map(|b| format!("{}.txt", b.name)).collect();
+    known.push(TABLE6_SNAPSHOT.to_string());
     for entry in std::fs::read_dir(golden_dir()).expect("tests/golden missing") {
         let name = entry.unwrap().file_name().to_string_lossy().into_owned();
         assert!(
@@ -117,4 +130,25 @@ fn no_orphan_snapshots() {
             "orphan snapshot tests/golden/{name}: no such benchmark"
         );
     }
+}
+
+/// Pinned end-to-end result: Table 6 of the 14-app x 3-tool sweep at 12
+/// trials per campaign, seed 7, on the default trial path.
+#[test]
+fn table6_matches_pinned_snapshot() {
+    let cfg = CampaignConfig { trials: 12, seed: 7, jobs: 2, ..CampaignConfig::default() };
+    let rendered = table6(&run_suite(&cfg, None, |_, _| {}));
+    let path = golden_dir().join(TABLE6_SNAPSHOT);
+    if std::env::var_os("REFINE_UPDATE_GOLDEN").is_some() {
+        std::fs::write(&path, &rendered).unwrap();
+        return;
+    }
+    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing snapshot {} ({e}); regenerate with REFINE_UPDATE_GOLDEN=1", path.display())
+    });
+    assert_eq!(
+        committed, rendered,
+        "Table 6 drifted from the pinned snapshot; if intentional, regenerate with \
+         REFINE_UPDATE_GOLDEN=1"
+    );
 }
