@@ -19,6 +19,11 @@ cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc (deny warnings)"
+# Broken or ambiguous intra-doc links, e.g. docs still naming a deleted
+# function, fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== cross-jobs determinism (--jobs 1 vs --jobs 4)"
 # The outcome tables must be bit-identical at any worker count; diff the
 # stdout tables of a short sweep run serially and sharded.

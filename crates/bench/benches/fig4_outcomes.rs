@@ -6,7 +6,8 @@
 //! benched apps so the shape is visible in bench logs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use refine_campaign::campaign::{run_campaign_prepared, CampaignConfig};
+use refine_campaign::campaign::run_campaign_prepared;
+use refine_campaign::engine::EngineConfig;
 use refine_campaign::tools::{PreparedTool, Tool};
 
 fn bench_fig4(c: &mut Criterion) {
@@ -16,7 +17,7 @@ fn bench_fig4(c: &mut Criterion) {
         let module = refine_benchmarks::by_name(app).unwrap().module();
         for tool in Tool::all() {
             let prepared = PreparedTool::prepare(&module, tool);
-            let cfg = CampaignConfig { trials: 40, seed: 1, jobs: 0, checkpoint: true, ..CampaignConfig::default() };
+            let cfg = EngineConfig { trials: 40, seed: 1, jobs: 0, checkpoint: true, ..EngineConfig::default() };
             // Print the sampled outcome mix once, for the record.
             let r = run_campaign_prepared(&prepared, &cfg);
             let p = r.counts.percentages();

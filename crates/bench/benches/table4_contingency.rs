@@ -2,7 +2,8 @@
 //! (campaign -> counts -> table) on AMG2013, the paper's example app.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use refine_campaign::campaign::{run_campaign_prepared, CampaignConfig};
+use refine_campaign::campaign::run_campaign_prepared;
+use refine_campaign::engine::EngineConfig;
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_stats::chi2_contingency;
 
@@ -10,7 +11,7 @@ fn bench_table4(c: &mut Criterion) {
     let module = refine_benchmarks::by_name("AMG2013").unwrap().module();
     let llfi = PreparedTool::prepare(&module, Tool::Llfi);
     let pinfi = PreparedTool::prepare(&module, Tool::Pinfi);
-    let cfg = CampaignConfig { trials: 30, seed: 42, jobs: 0, checkpoint: true, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: 30, seed: 42, jobs: 0, checkpoint: true, ..EngineConfig::default() };
 
     // Print the reproduced Table 4 once.
     let lr = run_campaign_prepared(&llfi, &cfg);

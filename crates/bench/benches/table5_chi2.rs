@@ -5,7 +5,8 @@
 //! mini-sweep of one app.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use refine_campaign::campaign::{run_campaign, CampaignConfig};
+use refine_campaign::campaign::run_campaign;
+use refine_campaign::engine::EngineConfig;
 use refine_campaign::tools::Tool;
 use refine_stats::chi2_contingency;
 
@@ -31,7 +32,7 @@ fn bench_chi2(c: &mut Criterion) {
 
     // One real mini Table 5 row, printed for the record.
     let m = refine_benchmarks::by_name("miniFE").unwrap().module();
-    let cfg = CampaignConfig { trials: 120, seed: 99, jobs: 0, checkpoint: true, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: 120, seed: 99, jobs: 0, checkpoint: true, ..EngineConfig::default() };
     let l = run_campaign(&m, Tool::Llfi, &cfg);
     let r = run_campaign(&m, Tool::Refine, &cfg);
     let p = run_campaign(&m, Tool::Pinfi, &cfg);

@@ -7,9 +7,10 @@
 //!   the previous baseline);
 //! * **checkpoint off** — the cold full-execution path (`--no-checkpoint`)
 //!   under the superblock-fused engine;
-//! * **checkpoint off, step engine** — the same cold path on the
-//!   per-instruction exact interpreter (`--engine step`), isolating the
-//!   superblock engine's speedup where trials execute end to end.
+//! * **checkpoint off, step engine** — the same cold path with fusion
+//!   off, every instruction through the exact `step` (`--engine step`),
+//!   isolating the superblock engine's speedup where trials execute end to
+//!   end.
 //!
 //! Artifacts are pre-prepared outside the timed region so the measurement
 //! isolates trial execution (prepare cost is `compile_overhead`'s subject;

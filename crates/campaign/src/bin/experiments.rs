@@ -40,13 +40,13 @@
 //!   interval in retired instructions (default 2048; must be nonzero);
 //! * `--engine superblock|step` selects the trial execution engine:
 //!   `superblock` (default) dispatches fused straight-line instruction
-//!   runs, `step` is the per-instruction exact interpreter. Bit-identical
+//!   runs, `step` runs the same trial driver with fusion off, every
+//!   instruction through the exact interpreter's step. Bit-identical
 //!   outcome tables and traces either way (`step` is the engine
 //!   differential oracle); like `--no-checkpoint`, this stays outside the
 //!   artifact-cache key.
 
-use refine_campaign::campaign::CampaignConfig;
-use refine_campaign::engine::EngineReport;
+use refine_campaign::engine::{EngineConfig, EngineReport};
 use refine_campaign::experiments::{self, run_suite_sharded, SuiteObserver};
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_core::ExecEngine;
@@ -101,7 +101,7 @@ fn engine_to_value(report: &EngineReport) -> serde::Value {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cmd: Option<String> = None;
-    let mut cfg = CampaignConfig::default();
+    let mut cfg = EngineConfig::default();
     let mut apps: Option<Vec<String>> = None;
     let mut trace_out: Option<String> = None;
     let mut summary_file: Option<String> = None;

@@ -14,7 +14,9 @@
 //! outcome tables.
 
 use crate::classify::{classify, Outcome};
-use crate::engine::{run_sweep, ArtifactCache, ArtifactSource, EngineCampaign, EngineHooks};
+use crate::engine::{
+    run_sweep, ArtifactCache, ArtifactSource, EngineCampaign, EngineConfig, EngineHooks,
+};
 use crate::tools::{PreparedTool, Tool};
 use refine_core::ExecEngine;
 use rand::rngs::StdRng;
@@ -65,46 +67,6 @@ impl OutcomeCounts {
             100.0 * self.soc as f64 / t,
             100.0 * self.benign as f64 / t,
         ]
-    }
-}
-
-/// Campaign parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct CampaignConfig {
-    /// Number of fault-injection trials (the paper uses 1,068).
-    pub trials: u64,
-    /// Master seed; different seeds give independent samples.
-    pub seed: u64,
-    /// Worker jobs (0 = all available cores). Any value produces identical
-    /// outcome tables; it only changes wall-clock time.
-    pub jobs: usize,
-    /// Golden-run checkpoint fast-forward for trials (`--no-checkpoint`
-    /// turns it off). On or off, campaigns are bit-identical; off only
-    /// costs wall-clock time.
-    pub checkpoint: bool,
-    /// Post-injection golden-convergence early exit (`--no-convergence`
-    /// turns it off). Like `checkpoint`, never changes campaign results.
-    pub convergence: bool,
-    /// Initial golden-run snapshot interval in retired instructions
-    /// (`--checkpoint-interval`; must be nonzero).
-    pub checkpoint_interval: u64,
-    /// Trial execution engine (`--engine {superblock,step}`). Both engines
-    /// are bit-identical; like `checkpoint`, this only changes wall-clock
-    /// time and stays outside the artifact-cache key.
-    pub engine: ExecEngine,
-}
-
-impl Default for CampaignConfig {
-    fn default() -> Self {
-        CampaignConfig {
-            trials: 1068,
-            seed: 0xB1ADE,
-            jobs: 0,
-            checkpoint: true,
-            convergence: true,
-            checkpoint_interval: refine_machine::CheckpointConfig::default().interval,
-            engine: ExecEngine::default(),
-        }
     }
 }
 
@@ -242,9 +204,8 @@ pub(crate) fn execute_trial(
 }
 
 /// Run a full campaign of `cfg.trials` single-fault runs.
-pub fn run_campaign(module: &Module, tool: Tool, cfg: &CampaignConfig) -> CampaignResult {
-    let ckpt = crate::engine::EngineConfig::from_campaign(cfg).checkpoint_options();
-    let prepared = PreparedTool::prepare_opt(module, tool, &ckpt);
+pub fn run_campaign(module: &Module, tool: Tool, cfg: &EngineConfig) -> CampaignResult {
+    let prepared = PreparedTool::prepare_opt(module, tool, &cfg.checkpoint_options());
     run_campaign_prepared(&prepared, cfg)
 }
 
@@ -264,7 +225,7 @@ pub struct CampaignHooks<'a> {
 
 /// Run a campaign against an already-prepared tool (lets callers share the
 /// compile+profile work across experiments).
-pub fn run_campaign_prepared(prepared: &PreparedTool, cfg: &CampaignConfig) -> CampaignResult {
+pub fn run_campaign_prepared(prepared: &PreparedTool, cfg: &EngineConfig) -> CampaignResult {
     run_campaign_observed(prepared, cfg, &CampaignHooks::default())
 }
 
@@ -276,7 +237,7 @@ pub fn run_campaign_prepared(prepared: &PreparedTool, cfg: &CampaignConfig) -> C
 /// work-stealing worker pool sharing the prepared artifact immutably.
 pub fn run_campaign_observed(
     prepared: &PreparedTool,
-    cfg: &CampaignConfig,
+    cfg: &EngineConfig,
     hooks: &CampaignHooks<'_>,
 ) -> CampaignResult {
     let spec = EngineCampaign {
@@ -286,12 +247,7 @@ pub fn run_campaign_observed(
     };
     let cache = ArtifactCache::new();
     let ehooks = EngineHooks { sink: hooks.sink, progress: hooks.progress };
-    let mut report = run_sweep(
-        std::slice::from_ref(&spec),
-        &crate::engine::EngineConfig::from_campaign(cfg),
-        &cache,
-        &ehooks,
-    );
+    let mut report = run_sweep(std::slice::from_ref(&spec), cfg, &cache, &ehooks);
     report.results.pop().expect("one-campaign sweep yields one result")
 }
 
@@ -316,7 +272,7 @@ mod tests {
     #[test]
     fn campaign_totals_match_trials() {
         let m = tiny_module();
-        let cfg = CampaignConfig { trials: 40, seed: 7, jobs: 2, checkpoint: true, ..CampaignConfig::default() };
+        let cfg = EngineConfig { trials: 40, seed: 7, jobs: 2, checkpoint: true, ..EngineConfig::default() };
         for tool in Tool::all() {
             let r = run_campaign(&m, tool, &cfg);
             assert_eq!(r.counts.total(), 40, "{}", tool.name());
@@ -327,13 +283,13 @@ mod tests {
     #[test]
     fn campaigns_are_reproducible() {
         let m = tiny_module();
-        let cfg = CampaignConfig { trials: 30, seed: 99, jobs: 3, checkpoint: true, ..CampaignConfig::default() };
+        let cfg = EngineConfig { trials: 30, seed: 99, jobs: 3, checkpoint: true, ..EngineConfig::default() };
         let a = run_campaign(&m, Tool::Refine, &cfg);
         let b = run_campaign(&m, Tool::Refine, &cfg);
         assert_eq!(a.counts, b.counts);
         assert_eq!(a.total_cycles, b.total_cycles);
         // Jobs count must not change the result (trial-indexed streams).
-        let c = run_campaign(&m, Tool::Refine, &CampaignConfig { jobs: 1, ..cfg });
+        let c = run_campaign(&m, Tool::Refine, &EngineConfig { jobs: 1, ..cfg });
         assert_eq!(a.counts, c.counts);
     }
 
@@ -343,12 +299,12 @@ mod tests {
         let a = run_campaign(
             &m,
             Tool::Pinfi,
-            &CampaignConfig { trials: 60, seed: 1, jobs: 2, checkpoint: true, ..CampaignConfig::default() },
+            &EngineConfig { trials: 60, seed: 1, jobs: 2, checkpoint: true, ..EngineConfig::default() },
         );
         let b = run_campaign(
             &m,
             Tool::Pinfi,
-            &CampaignConfig { trials: 60, seed: 2, jobs: 2, checkpoint: true, ..CampaignConfig::default() },
+            &EngineConfig { trials: 60, seed: 2, jobs: 2, checkpoint: true, ..EngineConfig::default() },
         );
         assert_ne!((a.counts.crash, a.counts.soc), (b.counts.crash, b.counts.soc));
     }

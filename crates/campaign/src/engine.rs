@@ -24,7 +24,6 @@
 use crate::campaign::{execute_trial, program_salt, CampaignResult, OutcomeCounts};
 use crate::classify::Outcome;
 use crate::tools::{PreparedTool, Tool};
-use parking_lot::Mutex;
 use refine_core::ExecEngine;
 use refine_ir::passes::OptLevel;
 use refine_ir::Module;
@@ -32,7 +31,7 @@ use refine_telemetry::{Phase, Progress, Span, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Default number of trial indices a worker claims per cursor fetch.
@@ -129,7 +128,7 @@ impl ArtifactCache {
         build: impl FnOnce() -> PreparedTool,
     ) -> Arc<PreparedTool> {
         let slot = {
-            let mut slots = self.slots.lock();
+            let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(slots.entry(key.clone()).or_default())
         };
         let mut built = false;
@@ -159,7 +158,7 @@ impl ArtifactCache {
     /// reporting, not a demand: it counts neither a hit nor a miss.
     pub fn peek(&self, key: &ArtifactKey) -> Option<(Arc<PreparedTool>, u64)> {
         let slot = {
-            let slots = self.slots.lock();
+            let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
             Arc::clone(slots.get(key)?)
         };
         slot.get().map(|(p, ns)| (Arc::clone(p), *ns))
@@ -167,7 +166,7 @@ impl ArtifactCache {
 
     /// Artifacts currently resident.
     pub fn len(&self) -> usize {
-        self.slots.lock().len()
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// True when nothing has been cached yet.
@@ -205,47 +204,51 @@ pub struct EngineCampaign {
     pub source: ArtifactSource,
 }
 
-/// Engine scheduling parameters.
+/// Campaign and sweep parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Trials per campaign.
+    /// Trials per campaign (the paper uses 1,068).
     pub trials: u64,
-    /// Sweep seed.
+    /// Sweep seed; different seeds give independent samples.
     pub seed: u64,
-    /// Worker jobs (0 = available parallelism).
+    /// Worker jobs (0 = available parallelism). Any value produces
+    /// identical outcome tables; it only changes wall-clock time.
     pub jobs: usize,
     /// Trial indices claimed per cursor fetch.
     pub batch: u64,
     /// Capture golden-run checkpoints on artifact prepare and fast-forward
-    /// trials through them. Bit-identical either way.
+    /// trials through them (`--no-checkpoint` turns it off). Bit-identical
+    /// either way; off only costs wall-clock time.
     pub checkpoint: bool,
     /// Detect post-injection golden convergence at checkpoint boundaries
-    /// and splice the golden outcome. Bit-identical either way; rides on
-    /// `checkpoint` (ignored when checkpointing is off).
+    /// and splice the golden outcome (`--no-convergence` turns it off).
+    /// Bit-identical either way; rides on `checkpoint` (ignored when
+    /// checkpointing is off).
     pub convergence: bool,
     /// Initial checkpoint interval in retired instructions (must be
     /// nonzero; `--checkpoint-interval`).
     pub checkpoint_interval: u64,
-    /// Trial execution engine (fused superblocks or exact stepping).
-    /// Bit-identical either way; outside the artifact-cache key.
+    /// Trial execution engine (`--engine {superblock,step}`). Bit-identical
+    /// either way; outside the artifact-cache key.
     pub engine: ExecEngine,
 }
 
-impl EngineConfig {
-    /// Engine parameters for a [`crate::campaign::CampaignConfig`].
-    pub fn from_campaign(cfg: &crate::campaign::CampaignConfig) -> EngineConfig {
+impl Default for EngineConfig {
+    fn default() -> Self {
         EngineConfig {
-            trials: cfg.trials,
-            seed: cfg.seed,
-            jobs: cfg.jobs,
+            trials: 1068,
+            seed: 0xB1ADE,
+            jobs: 0,
             batch: DEFAULT_BATCH,
-            checkpoint: cfg.checkpoint,
-            convergence: cfg.convergence,
-            checkpoint_interval: cfg.checkpoint_interval,
-            engine: cfg.engine,
+            checkpoint: true,
+            convergence: true,
+            checkpoint_interval: refine_machine::CheckpointConfig::default().interval,
+            engine: ExecEngine::default(),
         }
     }
+}
 
+impl EngineConfig {
     /// The checkpointing knobs this engine config prepares artifacts with.
     pub fn checkpoint_options(&self) -> refine_core::CheckpointOptions {
         assert!(self.checkpoint_interval > 0, "checkpoint interval must be nonzero");
@@ -602,16 +605,7 @@ mod tests {
     }
 
     fn test_cfg(trials: u64, seed: u64, jobs: usize, batch: u64) -> EngineConfig {
-        EngineConfig {
-            trials,
-            seed,
-            jobs,
-            batch,
-            checkpoint: true,
-            convergence: true,
-            checkpoint_interval: refine_machine::CheckpointConfig::default().interval,
-            engine: ExecEngine::default(),
-        }
+        EngineConfig { trials, seed, jobs, batch, ..EngineConfig::default() }
     }
 
     fn sweep_specs() -> Vec<EngineCampaign> {

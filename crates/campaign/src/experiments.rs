@@ -1,7 +1,7 @@
 //! Reproduction drivers for every table and figure of the paper's
 //! evaluation (the per-experiment index of DESIGN.md).
 
-use crate::campaign::{run_campaign_prepared, CampaignConfig, CampaignResult};
+use crate::campaign::{run_campaign_prepared, CampaignResult};
 use crate::engine::{
     run_sweep, ArtifactCache, ArtifactSource, EngineCampaign, EngineConfig, EngineHooks,
     EngineReport,
@@ -56,7 +56,7 @@ pub struct SuiteObserver<'a> {
 /// Run campaigns for `apps` (or the whole suite) with all three tools.
 /// `progress` is called before each (app, tool) campaign.
 pub fn run_suite(
-    cfg: &CampaignConfig,
+    cfg: &EngineConfig,
     apps: Option<&[String]>,
     progress: impl FnMut(&str, Tool),
 ) -> SuiteResults {
@@ -67,7 +67,7 @@ pub fn run_suite(
 /// provenance streaming. Accepts any benchmark [`refine_benchmarks::by_name`]
 /// knows, including the extras outside the paper's 14-app suite.
 pub fn run_suite_observed(
-    cfg: &CampaignConfig,
+    cfg: &EngineConfig,
     apps: Option<&[String]>,
     obs: &SuiteObserver<'_>,
     progress: impl FnMut(&str, Tool),
@@ -86,7 +86,7 @@ pub fn run_suite_observed(
 /// assembled (campaign *completion* order is scheduling-dependent; results
 /// are always returned in input order).
 pub fn run_suite_sharded(
-    cfg: &CampaignConfig,
+    cfg: &EngineConfig,
     apps: Option<&[String]>,
     obs: &SuiteObserver<'_>,
     mut progress: impl FnMut(&str, Tool),
@@ -129,7 +129,7 @@ pub fn run_suite_sharded(
     live.set_label(format!("sweep x{} apps", selected.len()));
     let hooks = EngineHooks { sink: obs.sink, progress: Some(&live) };
     let cache = ArtifactCache::new();
-    let report = run_sweep(&specs, &EngineConfig::from_campaign(cfg), &cache, &hooks);
+    let report = run_sweep(&specs, cfg, &cache, &hooks);
     live.finish();
 
     let mut out = Vec::with_capacity(selected.len());
@@ -412,7 +412,7 @@ pub fn fig5(suite: &SuiteResults) -> String {
 /// This is the study the flag interface exists for — e.g. stack-class
 /// faults (push/pop/sp/fp writers) crash far more often than arithmetic
 /// faults, which skew towards SOC.
-pub fn class_ablation(apps: &[String], cfg: &CampaignConfig) -> String {
+pub fn class_ablation(apps: &[String], cfg: &EngineConfig) -> String {
     use refine_core::{FiOptions, InstrClass};
     let mut s = String::new();
     let _ = writeln!(
@@ -436,7 +436,8 @@ pub fn class_ablation(apps: &[String], cfg: &CampaignConfig) -> String {
             ("all", InstrClass::All),
         ] {
             let opts = FiOptions { fi: true, fi_instrs: class, ..FiOptions::all() };
-            let prepared = PreparedTool::prepare_refine_with(&module, &opts);
+            let prepared =
+                PreparedTool::prepare_with(&module, Tool::Refine, &opts, &cfg.checkpoint_options());
             let r = run_campaign_prepared(&prepared, cfg);
             let p = r.counts.percentages();
             let _ = writeln!(
@@ -535,7 +536,7 @@ mod tests {
     /// End-to-end mini-sweep on one real app with few trials.
     #[test]
     fn mini_suite_runs() {
-        let cfg = CampaignConfig { trials: 12, seed: 3, jobs: 2, checkpoint: true, ..CampaignConfig::default() };
+        let cfg = EngineConfig { trials: 12, seed: 3, jobs: 2, checkpoint: true, ..EngineConfig::default() };
         let apps = vec!["CoMD".to_string()];
         let suite = run_suite(&cfg, Some(&apps), |_, _| {});
         assert_eq!(suite.apps.len(), 1);
@@ -550,7 +551,7 @@ mod tests {
     /// results match the public suite API bit for bit.
     #[test]
     fn sharded_suite_reports_engine_accounting() {
-        let cfg = CampaignConfig { trials: 10, seed: 3, jobs: 4, checkpoint: true, ..CampaignConfig::default() };
+        let cfg = EngineConfig { trials: 10, seed: 3, jobs: 4, checkpoint: true, ..EngineConfig::default() };
         let apps = vec!["CoMD".to_string()];
         let (suite, report) =
             run_suite_sharded(&cfg, Some(&apps), &SuiteObserver::default(), |_, _| {});

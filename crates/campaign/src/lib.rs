@@ -3,7 +3,7 @@
 //! `refine-campaign` — the fault-injection campaign harness: the paper's
 //! experiment workflow (§4.3, §5.3) end to end.
 //!
-//! * [`classify`] — outcome classification: *crash* (trap, non-zero exit,
+//! * [`classify`](mod@classify) — outcome classification: *crash* (trap, non-zero exit,
 //!   or timeout at 10x the profiled execution), *SOC* (final printed output
 //!   differs from the golden output at 6 significant digits), or *benign*;
 //! * [`tools`] — a uniform interface over the three injectors (LLFI,
@@ -25,8 +25,8 @@ pub mod propagation;
 pub mod tools;
 
 pub use campaign::{
-    program_salt, run_campaign, run_campaign_observed, run_campaign_prepared, CampaignConfig,
-    CampaignHooks, CampaignResult, OutcomeCounts,
+    program_salt, run_campaign, run_campaign_observed, run_campaign_prepared, CampaignHooks,
+    CampaignResult, OutcomeCounts,
 };
 pub use engine::{
     run_sweep, ArtifactCache, ArtifactKey, ArtifactSource, CacheStats, CampaignStats,

@@ -5,8 +5,8 @@ use refine_core::{CheckpointOptions, ExecEngine, FaultRecord, FiOptions, Injecti
 use refine_ir::passes::OptLevel;
 use refine_ir::Module;
 use refine_machine::{
-    Binary, CheckpointConfig, CheckpointStore, ConvStats, FiRuntime, GoldenEnd, Machine, NoFi,
-    Probe, QuiescentRt, RunConfig, RunOutcome, RunResult, SbStats, SuperblockProgram,
+    Binary, CheckpointConfig, CheckpointStore, ConvStats, FiCounter, GoldenEnd, Machine, NoFi,
+    Probe, RunConfig, RunOutcome, RunResult, SbStats, SuperblockProgram,
 };
 use refine_pinfi::{PinfiInjector, PinfiProfiler, PIN_OVERHEAD_CYCLES};
 use refine_telemetry::{registry, Phase, Span};
@@ -70,17 +70,16 @@ pub struct PreparedTool {
     /// Detect post-injection golden convergence and splice the golden
     /// outcome (`--no-convergence` clears this; requires a fastpath).
     pub convergence: bool,
-    /// The predecoded, superblock-fused text section for the fused engine.
-    /// Always built (it embeds the exact-step
-    /// [`refine_machine::Predecoded`] stream too) and shared read-only
-    /// across workers; `--engine step` steps its `pre()` stream and ignores
-    /// the fusion metadata.
+    /// The predecoded, superblock-fused text section the trial loops run
+    /// on, shared read-only across workers. It embeds the exact-step
+    /// [`refine_machine::Predecoded`] stream too, so `--engine step` runs
+    /// the same loops on it with fusion off.
     pub superblock: Arc<SuperblockProgram>,
 }
 
 /// The immutable fast-forward companion of a prepared binary: the
-/// profiling run's [`CheckpointStore`] and golden result. The quiescent
-/// inner loops read the predecoded text from [`PreparedTool::superblock`].
+/// profiling run's [`CheckpointStore`] and golden result. The trial loops
+/// read the predecoded text from [`PreparedTool::superblock`].
 #[derive(Debug)]
 pub struct FastPath {
     /// Snapshots of the (quiescent) profiling run.
@@ -106,10 +105,11 @@ pub struct TrialFastStats {
     pub conv_saved_instrs: u64,
     /// Fused superblock dispatches this trial (0 under `--engine step`).
     pub sb_dispatches: u64,
-    /// Instructions retired through fused dispatch this trial.
+    /// Instructions retired through fused dispatch this trial (0 under
+    /// `--engine step`).
     pub sb_fused_instrs: u64,
-    /// Instructions retired via exact single-step fallback inside the
-    /// superblock loops this trial.
+    /// Instructions retired via exact single steps inside the trial loops
+    /// this trial (all of them under `--engine step`).
     pub sb_stepped_instrs: u64,
 }
 
@@ -144,7 +144,7 @@ pub struct TrialRun {
 /// Call-hook binaries (no probe) run on the superblock engine, which
 /// yields the same result and snapshots as the exact loop; PINFI's probe
 /// needs the exact loop.
-fn profile_run<R: FiRuntime>(
+fn profile_run<R: FiCounter>(
     binary: &Binary,
     sb: &SuperblockProgram,
     cfg: &RunConfig,
@@ -160,8 +160,9 @@ fn profile_run<R: FiRuntime>(
         }
         (None, None) => {
             let mut m = Machine::new(binary, cfg);
+            let mut stats = SbStats::default();
             let outcome = m
-                .run_sb_calls(sb, rt, u64::MAX, cfg.max_cycles, &mut SbStats::default())
+                .run_until_count::<R, true>(sb, rt, u64::MAX, cfg.max_cycles, &mut stats)
                 .expect("cycle-bounded run terminates");
             (m.into_result(outcome), None)
         }
@@ -196,12 +197,31 @@ impl PreparedTool {
     /// [`PreparedTool::prepare`] with explicit checkpointing knobs
     /// (`CheckpointOptions::disabled()` is the `--no-checkpoint` path).
     pub fn prepare_opt(module: &Module, tool: Tool, ckpt: &CheckpointOptions) -> PreparedTool {
+        Self::prepare_with(module, tool, &FiOptions::all(), ckpt)
+    }
+
+    /// Prepare REFINE with custom flags (`-fi-funcs`/`-fi-instrs`
+    /// selections), for targeted campaigns and class ablations.
+    pub fn prepare_refine_with(module: &Module, opts: &FiOptions) -> PreparedTool {
+        Self::prepare_with(module, Tool::Refine, opts, &CheckpointOptions::default())
+    }
+
+    /// The one prepare path: compile/attach `tool` (REFINE instrumented per
+    /// `fi`; LLFI and PINFI ignore it) and run the profiling phase,
+    /// capturing golden-run checkpoints per `ckpt`.
+    pub(crate) fn prepare_with(
+        module: &Module,
+        tool: Tool,
+        fi: &FiOptions,
+        ckpt: &CheckpointOptions,
+    ) -> PreparedTool {
         let stack_words = 1 << 16;
         let cfg = RunConfig { max_cycles: u64::MAX / 4, stack_words };
         let mcfg = ckpt.enabled.then(|| ckpt.machine_config());
         let (binary, superblock, population, profile, store, site_opcodes) = match tool {
             Tool::Refine => {
-                let c = refine_core::compile_with_fi(module, OptLevel::O2, &FiOptions::all());
+                assert!(fi.fi, "instrumentation must be enabled");
+                let c = refine_core::compile_with_fi(module, OptLevel::O2, fi);
                 let opcodes =
                     c.sites.iter().map(|s| (s.id, asm_mnemonic(&s.asm))).collect();
                 // REFINE's trigger-path scratch slot must be digest-exempt
@@ -256,42 +276,6 @@ impl PreparedTool {
         }
     }
 
-    /// Prepare REFINE with custom flags (`-fi-funcs`/`-fi-instrs`
-    /// selections), for targeted campaigns and class ablations.
-    pub fn prepare_refine_with(module: &Module, opts: &FiOptions) -> PreparedTool {
-        assert!(opts.fi, "instrumentation must be enabled");
-        let stack_words = 1 << 16;
-        let cfg = RunConfig { max_cycles: u64::MAX / 4, stack_words };
-        let c = refine_core::compile_with_fi(module, OptLevel::O2, opts);
-        let site_opcodes = c.sites.iter().map(|s| (s.id, asm_mnemonic(&s.asm))).collect();
-        let ckpt = CheckpointOptions::default();
-        let mcfg = ckpt.enabled.then(|| {
-            let mut m = ckpt.machine_config();
-            m.exempt_data_words = c.digest_exempt_words();
-            m
-        });
-        let superblock = build_superblock(&c.binary);
-        let mut rt = ProfilingRt::default();
-        let (r, store) = profile_run(&c.binary, &superblock, &cfg, &mut rt, None, mcfg);
-        assert!(rt.count > 0, "selected FI population is empty");
-        let golden = Golden::from_run(&r);
-        let profile_cycles = r.cycles;
-        let fastpath = store.map(|store| Arc::new(FastPath { store, golden_run: r }));
-        PreparedTool {
-            tool: Tool::Refine,
-            binary: c.binary,
-            population: rt.count,
-            golden,
-            profile_cycles,
-            timeout_cycles: profile_cycles.saturating_mul(10),
-            stack_words,
-            site_opcodes,
-            fastpath,
-            convergence: ckpt.enabled && ckpt.convergence,
-            superblock,
-        }
-    }
-
     /// Execute one fault-injection trial at dynamic target instruction
     /// `target` (1-based) with RNG stream `seed`.
     pub fn run_trial(&self, target: u64, seed: u64) -> RunResult {
@@ -313,239 +297,80 @@ impl PreparedTool {
         self.run_trial_engine(ExecEngine::default(), target, seed)
     }
 
-    /// Full trial execution: fast-forwards through the quiescent prefix via
-    /// the golden-run checkpoint store when available, dispatching the
-    /// quiescent / post-fire / convergence regions through `engine`'s loops
-    /// (fused superblocks or per-instruction exact stepping). All engine ×
-    /// checkpoint combinations are bit-identical (outcome, output, cycles,
-    /// fault log) — the quiescent prefix of an injection run is
-    /// observationally equal to the profiling run, so a profiling-run
-    /// snapshot is an exact restore point for any trial whose target event
-    /// lies beyond it, and the fused loops replicate the exact loops'
-    /// accounting instruction-for-instruction.
+    /// Full trial execution under `engine`: fused superblocks or exact
+    /// per-instruction steps, through the one trial driver.
+    /// Every engine × checkpoint × convergence combination is bit-identical
+    /// (outcome, output, cycles, fault log) to
+    /// [`PreparedTool::run_trial_exact`].
     pub fn run_trial_engine(&self, engine: ExecEngine, target: u64, seed: u64) -> TrialRun {
-        let Some(fp) = self.fastpath.as_deref() else {
-            return match engine {
-                ExecEngine::Superblock => self.run_trial_cold_sb(target, seed),
-                ExecEngine::Step => self.run_trial_exact(target, seed),
-            };
-        };
-        let sb = (engine == ExecEngine::Superblock).then(|| self.superblock.as_ref());
-        let pre = self.superblock.pre();
-        let mut sbs = SbStats::default();
-        let cfg = RunConfig { max_cycles: self.timeout_cycles, stack_words: self.stack_words };
-        let (mut m, count0, mut fast) = {
-            let _s = Span::enter(Phase::CheckpointRestore);
-            match fp.store.nearest_below(target) {
-                Some(ck) => (
-                    Machine::resume(&self.binary, &cfg, ck),
-                    ck.fi_count,
-                    TrialFastStats { restored: true, skipped_instrs: ck.retired, ..Default::default() },
-                ),
-                None => (Machine::new(&self.binary, &cfg), 0, TrialFastStats::default()),
+        match (self.tool, engine) {
+            (Tool::Refine | Tool::Llfi, ExecEngine::Superblock) => {
+                self.drive::<InjectingRt, true>(target, seed)
             }
-        };
-        // Stop the fast loop one FI event short of the target so the exact
-        // loop — with the real injector attached — handles the firing event
-        // itself (and everything after it).
-        let stop = target.saturating_sub(1);
-        let golden = self.golden_end(fp);
-        let mut run = match self.tool {
-            Tool::Refine | Tool::Llfi => 'run: {
-                let mut q = QuiescentRt::starting_at(count0);
-                let quiesced = match sb {
-                    Some(sb) => m.run_sb_calls(sb, &mut q, stop, cfg.max_cycles, &mut sbs),
-                    None => m.run_quiescent_calls(pre, &mut q, stop, cfg.max_cycles),
-                };
-                if let Some(outcome) = quiesced {
-                    // Program ended (or timed out) before the target event:
-                    // the injector would never have fired.
-                    break 'run TrialRun { result: m.into_result(outcome), log: None, fast };
-                }
-                let mut rt = InjectingRt::resume(target, seed, q.count);
-                let Some(golden) = golden else {
-                    // Exact loop through the firing event, then the fused
-                    // loop (post-fire the injector is observationally
-                    // quiescent) or the attached exact run to the end.
-                    let outcome = match sb {
-                        Some(sb) => match m.run_exact_until_fired(cfg.max_cycles, &mut rt, None) {
-                            Some(outcome) => outcome,
-                            None => m
-                                .run_sb_calls(sb, &mut rt, u64::MAX, cfg.max_cycles, &mut sbs)
-                                .expect("cycle-bounded run terminates"),
-                        },
-                        None => {
-                            let result = m.finish_run(cfg.max_cycles, &mut rt, None);
-                            break 'run TrialRun { result, log: rt.log, fast };
-                        }
-                    };
-                    break 'run TrialRun { result: m.into_result(outcome), log: rt.log, fast };
-                };
-                // Exact loop only through the firing event, then the
-                // monomorphized convergence loop for the suffix, with the
-                // fired injector still attached.
-                if let Some(outcome) = m.run_exact_until_fired(cfg.max_cycles, &mut rt, None) {
-                    break 'run TrialRun { result: m.into_result(outcome), log: rt.log, fast };
-                }
-                let mut stats = ConvStats::default();
-                let outcome = match sb {
-                    Some(sb) => m.run_sb_converging_calls(
-                        sb,
-                        &mut rt,
-                        &fp.store,
-                        golden,
-                        cfg.max_cycles,
-                        &mut stats,
-                        &mut sbs,
-                    ),
-                    None => m.run_converging_calls(
-                        pre,
-                        &mut rt,
-                        &fp.store,
-                        golden,
-                        cfg.max_cycles,
-                        &mut stats,
-                    ),
-                };
-                fast.apply(&stats);
-                TrialRun { result: m.into_result(outcome), log: rt.log, fast }
+            (Tool::Refine | Tool::Llfi, ExecEngine::Step) => {
+                self.drive::<InjectingRt, false>(target, seed)
             }
-            Tool::Pinfi => 'run: {
-                let mut count = count0;
-                let quiesced = match sb {
-                    Some(sb) => m.run_sb_probed(
-                        sb,
-                        PIN_OVERHEAD_CYCLES,
-                        &mut count,
-                        stop,
-                        cfg.max_cycles,
-                        &mut sbs,
-                    ),
-                    None => m.run_quiescent_probed(
-                        pre,
-                        PIN_OVERHEAD_CYCLES,
-                        &mut count,
-                        stop,
-                        cfg.max_cycles,
-                    ),
-                };
-                if let Some(outcome) = quiesced {
-                    break 'run TrialRun { result: m.into_result(outcome), log: None, fast };
-                }
-                let mut probe = PinfiInjector::resume(target, seed, count);
-                let Some(golden) = golden else {
-                    // The probe detaches at fire, so post-fire execution is
-                    // probe-free: the fused loop with `NoFi` is exact.
-                    let outcome = match sb {
-                        Some(sb) => match m.run_exact_until_fired(
-                            cfg.max_cycles,
-                            &mut NoFi,
-                            Some(&mut probe),
-                        ) {
-                            Some(outcome) => outcome,
-                            None => m
-                                .run_sb_calls(sb, &mut NoFi, u64::MAX, cfg.max_cycles, &mut sbs)
-                                .expect("cycle-bounded run terminates"),
-                        },
-                        None => {
-                            let result = m.finish_run(cfg.max_cycles, &mut NoFi, Some(&mut probe));
-                            break 'run TrialRun { result, log: probe.log, fast };
-                        }
-                    };
-                    break 'run TrialRun { result: m.into_result(outcome), log: probe.log, fast };
-                };
-                if let Some(outcome) =
-                    m.run_exact_until_fired(cfg.max_cycles, &mut NoFi, Some(&mut probe))
-                {
-                    break 'run TrialRun { result: m.into_result(outcome), log: probe.log, fast };
-                }
-                let mut stats = ConvStats::default();
-                // The injector counted the firing event (== target) and
-                // detached; the convergence loop keeps tallying targets at
-                // fetch exactly as the attached profiling probe did.
-                let mut count = probe.fi_count();
-                let outcome = match sb {
-                    Some(sb) => m.run_sb_converging_probed(
-                        sb,
-                        &mut count,
-                        &fp.store,
-                        golden,
-                        cfg.max_cycles,
-                        &mut stats,
-                        &mut sbs,
-                    ),
-                    None => m.run_converging_probed(
-                        pre,
-                        &mut count,
-                        &fp.store,
-                        golden,
-                        cfg.max_cycles,
-                        &mut stats,
-                    ),
-                };
-                fast.apply(&stats);
-                TrialRun { result: m.into_result(outcome), log: probe.log, fast }
+            (Tool::Pinfi, ExecEngine::Superblock) => {
+                self.drive::<PinfiInjector, true>(target, seed)
             }
-        };
-        run.fast.apply_sb(&sbs);
-        run
+            (Tool::Pinfi, ExecEngine::Step) => self.drive::<PinfiInjector, false>(target, seed),
+        }
     }
 
-    /// Cold (no-fastpath) trial under the fused engine: the same quiescent
-    /// -> fire -> run-to-end structure as the warm path, from the initial
-    /// state. This is where `--no-checkpoint` campaigns get their
-    /// superblock speedup; bit-identical to
-    /// [`PreparedTool::run_trial_exact`] by the same resume argument as the
-    /// checkpoint path (the counting runtime consumes no RNG before the
-    /// fire, and the PINFI probe detaches at fire).
-    fn run_trial_cold_sb(&self, target: u64, seed: u64) -> TrialRun {
+    /// The one trial driver, warm or cold: restore the nearest golden-run
+    /// checkpoint below the target (when the artifact has them), run the
+    /// quiescent prefix to one FI event short of the target, run the exact
+    /// interpreter through the firing event with the injector attached,
+    /// then converge with the golden run (when it has a golden end) or run
+    /// to the end. The quiescent prefix of an injection run equals the
+    /// profiling run (the injector's RNG is only consumed when it fires),
+    /// so a profiling-run snapshot is an exact restore point for any trial
+    /// whose target event lies beyond it. `FUSE` selects the engine.
+    fn drive<I: Injector, const FUSE: bool>(&self, target: u64, seed: u64) -> TrialRun {
         let sb = self.superblock.as_ref();
-        let mut sbs = SbStats::default();
-        let cfg = RunConfig { max_cycles: self.timeout_cycles, stack_words: self.stack_words };
-        let mut m = Machine::new(&self.binary, &cfg);
-        let stop = target.saturating_sub(1);
-        let fast = TrialFastStats::default();
-        let mut run = match self.tool {
-            Tool::Refine | Tool::Llfi => 'run: {
-                let mut q = QuiescentRt::default();
-                if let Some(outcome) = m.run_sb_calls(sb, &mut q, stop, cfg.max_cycles, &mut sbs)
-                {
-                    break 'run TrialRun { result: m.into_result(outcome), log: None, fast };
+        let max = self.timeout_cycles;
+        let cfg = RunConfig { max_cycles: max, stack_words: self.stack_words };
+        let fp = self.fastpath.as_deref();
+        let mut fast = TrialFastStats::default();
+        let (mut m, counted) = {
+            let _s = fp.map(|_| Span::enter(Phase::CheckpointRestore));
+            match fp.and_then(|fp| fp.store.nearest_below(target)) {
+                Some(ck) => {
+                    fast.restored = true;
+                    fast.skipped_instrs = ck.retired;
+                    (Machine::resume(&self.binary, &cfg, ck), ck.fi_count)
                 }
-                let mut rt = InjectingRt::resume(target, seed, q.count);
-                let outcome = match m.run_exact_until_fired(cfg.max_cycles, &mut rt, None) {
-                    Some(outcome) => outcome,
-                    None => m
-                        .run_sb_calls(sb, &mut rt, u64::MAX, cfg.max_cycles, &mut sbs)
-                        .expect("cycle-bounded run terminates"),
-                };
-                TrialRun { result: m.into_result(outcome), log: rt.log, fast }
-            }
-            Tool::Pinfi => 'run: {
-                let mut count = 0u64;
-                if let Some(outcome) = m.run_sb_probed(
-                    sb,
-                    PIN_OVERHEAD_CYCLES,
-                    &mut count,
-                    stop,
-                    cfg.max_cycles,
-                    &mut sbs,
-                ) {
-                    break 'run TrialRun { result: m.into_result(outcome), log: None, fast };
-                }
-                let mut probe = PinfiInjector::resume(target, seed, count);
-                let outcome =
-                    match m.run_exact_until_fired(cfg.max_cycles, &mut NoFi, Some(&mut probe)) {
-                        Some(outcome) => outcome,
-                        None => m
-                            .run_sb_calls(sb, &mut NoFi, u64::MAX, cfg.max_cycles, &mut sbs)
-                            .expect("cycle-bounded run terminates"),
-                    };
-                TrialRun { result: m.into_result(outcome), log: probe.log, fast }
+                None => (Machine::new(&self.binary, &cfg), 0),
             }
         };
-        run.fast.apply_sb(&sbs);
-        run
+        let mut inj = I::resume(target, seed, counted);
+        let mut sbs = SbStats::default();
+        let outcome = 'run: {
+            // An outcome here means the program ended (or timed out)
+            // before the target event: the injector never fired.
+            let stop = target.saturating_sub(1);
+            if let Some(o) = m.run_until_count::<I, FUSE>(sb, &mut inj, stop, max, &mut sbs) {
+                break 'run o;
+            }
+            if let Some(o) = inj.fire(&mut m, max) {
+                break 'run o;
+            }
+            match fp.and_then(|fp| Some((&fp.store, self.golden_end(fp)?))) {
+                Some((store, golden)) => {
+                    let mut conv = ConvStats::default();
+                    let o = m.run_to_convergence::<I, FUSE>(
+                        sb, &mut inj, store, golden, max, &mut conv, &mut sbs,
+                    );
+                    fast.apply(&conv);
+                    o
+                }
+                None => m
+                    .run_until_count::<I, FUSE>(sb, &mut inj, u64::MAX, max, &mut sbs)
+                    .expect("cycle-bounded run terminates"),
+            }
+        };
+        fast.apply_sb(&sbs);
+        TrialRun { result: m.into_result(outcome), log: inj.into_log(), fast }
     }
 
     /// The golden run's terminal facts for convergence splicing, when
@@ -574,9 +399,9 @@ impl PreparedTool {
     }
 
     /// Reference trial execution: full interpretation from the initial
-    /// state, no checkpoint restore and no predecoded fast loop. This is
-    /// the `--no-checkpoint` path and the oracle the differential tests
-    /// compare [`PreparedTool::run_trial_full`] against.
+    /// state on the exact interpreter loop, no checkpoint restore and no
+    /// predecoded trial loop. This is the oracle the differential tests
+    /// compare [`PreparedTool::run_trial_engine`] against.
     pub fn run_trial_exact(&self, target: u64, seed: u64) -> TrialRun {
         let cfg = RunConfig { max_cycles: self.timeout_cycles, stack_words: self.stack_words };
         match self.tool {
@@ -605,6 +430,51 @@ impl PreparedTool {
                 .map(|i| i.mnemonic()),
             Tool::Refine | Tool::Llfi => self.site_opcodes.get(&record.site).cloned(),
         }
+    }
+}
+
+/// A tool family's injector on the trial path. Its [`FiCounter`] impl is
+/// the family's counting discipline: REFINE and LLFI count FI events in
+/// the runtime their hooks call ([`InjectingRt`]); PINFI counts targets at
+/// fetch and pays the probe overhead until it fires ([`PinfiInjector`]).
+trait Injector: FiCounter + Sized {
+    /// The injector after `counted` quiescent events (a checkpoint
+    /// restore's count, or 0 from the initial state).
+    fn resume(target: u64, seed: u64, counted: u64) -> Self;
+
+    /// Run the exact interpreter with the injector attached through the
+    /// firing event; `Some` when the run ended first.
+    fn fire(&mut self, m: &mut Machine<'_>, max_cycles: u64) -> Option<RunOutcome>;
+
+    /// The fault log entry, when the injection fired.
+    fn into_log(self) -> Option<FaultRecord>;
+}
+
+impl Injector for InjectingRt {
+    fn resume(target: u64, seed: u64, counted: u64) -> Self {
+        InjectingRt::resume(target, seed, counted)
+    }
+
+    fn fire(&mut self, m: &mut Machine<'_>, max_cycles: u64) -> Option<RunOutcome> {
+        m.run_exact_until_fired(max_cycles, self, None)
+    }
+
+    fn into_log(self) -> Option<FaultRecord> {
+        self.log
+    }
+}
+
+impl Injector for PinfiInjector {
+    fn resume(target: u64, seed: u64, counted: u64) -> Self {
+        PinfiInjector::resume(target, seed, counted)
+    }
+
+    fn fire(&mut self, m: &mut Machine<'_>, max_cycles: u64) -> Option<RunOutcome> {
+        m.run_exact_until_fired(max_cycles, &mut NoFi, Some(self))
+    }
+
+    fn into_log(self) -> Option<FaultRecord> {
+        self.log
     }
 }
 

@@ -16,7 +16,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use refine_machine::FiRuntime;
+use refine_machine::{FiCounter, FiRuntime};
 
 /// The record REFINE writes to its fault log when an injection fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,6 +61,8 @@ impl FiRuntime for ProfilingRt {
         self.count
     }
 }
+
+impl FiCounter for ProfilingRt {}
 
 /// Injection-phase library implementing the single-bit-flip fault model.
 #[derive(Debug)]
@@ -152,6 +154,8 @@ impl FiRuntime for InjectingRt {
         self.log.is_some()
     }
 }
+
+impl FiCounter for InjectingRt {}
 
 /// Replay a fault log entry exactly (repeatability, §4.3.1).
 #[derive(Debug)]

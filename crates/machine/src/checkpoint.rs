@@ -1,4 +1,4 @@
-//! Golden-run checkpointing and the predecoded quiescent fast path.
+//! Golden-run checkpointing and the predecoded text of the trial loops.
 //!
 //! A fault-injection trial is bit-identical to the fault-free profiling run
 //! up to its dynamic injection index (the campaign engine's determinism
@@ -17,11 +17,11 @@
 //! so restore cost is proportional to the state the program actually
 //! touched, and clean pages are shared implicitly through the baseline.
 //!
-//! The companion [`Predecoded`] stream backs the monomorphized
-//! "no-FI-until-index" interpreter loop (`Machine::run_quiescent_calls` /
-//! `Machine::run_quiescent_probed`): per-pc instruction copies with their
-//! cycle cost and PINFI-target flag precomputed, so the quiescent region
-//! skips the `&mut dyn FiRuntime` virtual call and probe bookkeeping.
+//! The companion [`Predecoded`] stream backs the exact steps of the
+//! monomorphized trial loops ([`crate::Machine::run_until_count`],
+//! [`crate::Machine::run_to_convergence`]): per-pc instruction copies with
+//! their cycle cost and PINFI-target flag precomputed, so those loops skip
+//! the `&mut dyn FiRuntime` virtual call and probe bookkeeping.
 
 use crate::binary::Binary;
 use crate::digest::{BaselineHashes, StateDigest};
@@ -255,7 +255,7 @@ impl CheckpointStore {
 }
 
 /// One predecoded instruction slot: the instruction copy plus everything
-/// the quiescent inner loop needs without re-deriving it per iteration.
+/// the trial loops' exact steps need without re-deriving it per iteration.
 #[derive(Debug, Clone, Copy)]
 pub struct PredecodedEntry {
     /// The instruction at this pc.
@@ -267,7 +267,7 @@ pub struct PredecodedEntry {
 }
 
 /// A flattened, predecoded rendering of a binary's text section for the
-/// quiescent fast path.
+/// exact steps of the trial loops.
 #[derive(Debug, Clone)]
 pub struct Predecoded {
     entries: Vec<PredecodedEntry>,

@@ -46,21 +46,37 @@ pub trait FiRuntime {
     }
 }
 
-/// The counting-only runtime of the checkpoint fast path: semantically
-/// identical to the profiling library (count every event, never fire), but
-/// a concrete type so [`crate::Machine::run_quiescent_calls`] and
-/// [`crate::Machine::run_sb_calls`] monomorphize the hook dispatch away.
+/// The FI-event counting discipline of the trial loops
+/// ([`crate::Machine::run_until_count`],
+/// [`crate::Machine::run_to_convergence`]).
+///
+/// A runtime the instrumented binary calls (REFINE, LLFI) counts the events
+/// its hooks see and keeps the defaults. A binary-level injector (PINFI) is
+/// never called by its uninstrumented binary: it sets
+/// [`FiCounter::AT_FETCH`], so the loops tally FI targets as instructions
+/// are fetched and charge [`FiCounter::fetch_overhead`] cycles per fetch,
+/// as the attached probe does on the exact interpreter.
+pub trait FiCounter: FiRuntime {
+    /// Count FI targets at fetch instead of through the runtime hooks.
+    const AT_FETCH: bool = false;
+
+    /// Count `n` fetched FI targets (called only when `AT_FETCH`).
+    fn count_fetched(&mut self, _n: u64) {}
+
+    /// Probe overhead cycles per fetched instruction (read only when
+    /// `AT_FETCH`).
+    fn fetch_overhead(&self) -> u64 {
+        0
+    }
+}
+
+/// A counting-only runtime: semantically identical to the profiling
+/// library (count every event, never fire), as a concrete type the trial
+/// loops monomorphize over.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct QuiescentRt {
     /// FI population events counted so far.
     pub count: u64,
-}
-
-impl QuiescentRt {
-    /// A quiescent runtime resuming from a checkpoint's event count.
-    pub fn starting_at(count: u64) -> Self {
-        QuiescentRt { count }
-    }
 }
 
 impl FiRuntime for QuiescentRt {
@@ -89,6 +105,8 @@ impl FiRuntime for QuiescentRt {
     }
 }
 
+impl FiCounter for QuiescentRt {}
+
 /// A no-op runtime for running uninstrumented binaries.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoFi;
@@ -108,6 +126,8 @@ impl FiRuntime for NoFi {
 
     fn count_fused_events(&mut self, _n: u64) {}
 }
+
+impl FiCounter for NoFi {}
 
 /// Packing helpers for the `setupFI` immediate: REFINE's backend pass knows
 /// the operand count and bit sizes statically, so it encodes them into the

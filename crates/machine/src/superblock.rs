@@ -35,25 +35,28 @@
 //! exact per-call dispatch), at `Halt`, and before a µop whose successor
 //! would leave the text section (so the strict fallthrough pc-bounds trap
 //! is always raised by the exact step). Instructions that can trap
-//! mid-block (memory, divide, push/pop) *are* fused: [`Machine::exec_fused`]
+//! mid-block (memory, divide, push/pop) *are* fused: the block dispatcher
 //! materializes the exact architectural state at the trapping µop — same
 //! cycles (cost of the trapping instruction included, as the exact loop
 //! adds cost before stepping), same retired count (trapping instruction not
 //! retired), same FI count, and `pc` left on the trapping instruction.
 //!
-//! The fused loops ([`Machine::run_sb_calls`], [`Machine::run_sb_probed`],
-//! [`Machine::run_sb_converging_calls`] /
-//! [`Machine::run_sb_converging_probed`], and the profiling run
-//! [`Machine::run_sb_checkpointed`]) mirror their exact counterparts'
-//! accounting bit-for-bit and fall back to single exact steps whenever a
-//! block could cross a semantic boundary the exact loop observes
-//! per-instruction: the FI-event stop count, the cycle budget, a golden
-//! snapshot's `(fi_count, pc)` match point, or a due profiling snapshot.
-//! A block with `E > 0` FI events is fused only while no event inside it
-//! can matter: in the quiescent loops when `count + E < stop`, in the
-//! convergence loop when the cursor snapshot's FI count exceeds
-//! `count + E`. Fused events reach the runtime through
-//! [`FiRuntime::count_fused_events`].
+//! The trial loops are [`Machine::run_until_count`] (quiescent prefix, and
+//! run to the end) and [`Machine::run_to_convergence`] (post-fire), plus
+//! the profiling run [`Machine::run_sb_checkpointed`]. They are generic
+//! over an [`FiCounter`], which counts FI events through the runtime hooks
+//! (REFINE, LLFI) or at fetch with probe overhead (PINFI), and over
+//! `const FUSE: bool`. With fusion off every instruction goes through the
+//! exact `step_t`, which is the step engine and cross-checks every µop
+//! handler. With it on they mirror that accounting bit-for-bit and fall
+//! back to single exact steps whenever a block could cross a semantic
+//! boundary the exact loop observes per-instruction: the FI-event stop
+//! count, the cycle budget, a golden snapshot's `(fi_count, pc)` match
+//! point, or a due profiling snapshot. A block with `E > 0` FI events is
+//! fused only while no event inside it can matter: before the stop when
+//! `count + E < stop`, in the convergence loop when the cursor snapshot's
+//! FI count exceeds `count + E`. Fused events reach the runtime through
+//! [`FiRuntime::count_fused_events`](crate::FiRuntime::count_fused_events).
 
 use crate::binary::Binary;
 use crate::checkpoint::{
@@ -64,7 +67,7 @@ use crate::isa::{AluOp, Cc, CvtKind, FAluOp, MInstr, Mem, RtFunc};
 use crate::machine::{
     ConvStats, GoldenEnd, Machine, RunConfig, RunOutcome, RunResult, Step, Trap, GLOBAL_BASE,
 };
-use crate::rt::{FiRuntime, NoFi};
+use crate::rt::FiCounter;
 
 /// A µop handler: executes one fused instruction's data side effects.
 /// Never touches `pc`, `cycles` or `instrs_retired` — the block dispatcher
@@ -198,11 +201,6 @@ impl SuperblockProgram {
         }
     }
 
-    /// The embedded exact-step predecoded stream.
-    pub fn pre(&self) -> &Predecoded {
-        &self.pre
-    }
-
     /// Number of predecoded instructions (== text length).
     pub fn len(&self) -> usize {
         self.uops.len()
@@ -235,6 +233,25 @@ impl SuperblockProgram {
                 let e = self.pre.entry(k as u32).expect("pc in range");
                 u64::from(self.fused_targets[pc] - self.fused_targets[k]) + u64::from(e.is_target)
             }
+        }
+    }
+
+    /// FI events the block headed at `pc` counts under `C`'s discipline:
+    /// fetched targets or runtime events.
+    #[inline]
+    fn block_events<C: FiCounter + ?Sized>(&self, pc: usize) -> u64 {
+        u64::from(if C::AT_FETCH { self.fused_targets[pc] } else { self.fused_events[pc] })
+    }
+
+    /// Cycles the block headed at `pc` charges when it runs to its end,
+    /// including `c`'s probe overhead per fetch.
+    #[inline]
+    fn block_cycles<C: FiCounter + ?Sized>(&self, pc: usize, c: &C) -> u64 {
+        let cost = u64::from(self.fused_cost[pc]);
+        if C::AT_FETCH {
+            cost + u64::from(self.fused_retired[pc]) * c.fetch_overhead()
+        } else {
+            cost
         }
     }
 
@@ -317,7 +334,7 @@ impl<'a> Machine<'a> {
     /// straight-line runs dispatched fused. A block is fused only when it
     /// ends before the next snapshot is due, so every snapshot is taken
     /// after the same exactly stepped instruction as on the exact loop.
-    pub fn run_sb_checkpointed<R: FiRuntime + ?Sized>(
+    pub fn run_sb_checkpointed<R: FiCounter + ?Sized>(
         binary: &'a Binary,
         cfg: &RunConfig,
         sb: &SuperblockProgram,
@@ -329,23 +346,23 @@ impl<'a> Machine<'a> {
         let mut m = Machine::new(binary, cfg);
         let mut stats = SbStats::default();
         let outcome = m
-            .sb_calls_core(sb, rt, u64::MAX, cfg.max_cycles, &mut stats, Some(&mut builder))
+            .count_loop::<R, true>(sb, rt, u64::MAX, cfg.max_cycles, &mut stats, Some(&mut builder))
             .expect("cycle-bounded run terminates");
         (m.into_result(outcome), builder.finish(cfg.stack_words))
     }
 
     /// Execute the superblock headed at `pc` (`n = fused_len[pc] > 0`
-    /// guaranteed by the caller), reporting its FI events to `rt`. On
+    /// guaranteed by the caller), reporting its FI events to `c`. On
     /// success `pc` lands on the chain's successor of its last µop; on a
     /// trap the architectural state and FI count are exactly what the
     /// per-instruction loop would have left.
     #[inline]
-    fn exec_fused<R: FiRuntime + ?Sized>(
+    fn exec_fused<C: FiCounter + ?Sized>(
         &mut self,
         sb: &SuperblockProgram,
         pc: usize,
         n: u32,
-        rt: &mut R,
+        c: &mut C,
         stats: &mut SbStats,
     ) -> Result<(), Trap> {
         let mut k = pc;
@@ -355,11 +372,12 @@ impl<'a> Machine<'a> {
                 // The exact loop adds the trapping instruction's cost
                 // before stepping but does not retire it, and leaves pc on
                 // the trapping instruction. A collapsed site cannot trap,
-                // so `k` is a plain instruction.
+                // so `k` is a plain instruction; it was fetched too.
                 let (cycles, retired, events) = sb.prefix(pc, k);
                 self.cycles += cycles + sb.pre.entry(k as u32).expect("pc in range").cost;
                 self.instrs_retired += retired;
-                rt.count_fused_events(events);
+                c.count_fused_events(events);
+                self.count_fetches(c, sb.fetched_targets(pc, Some(k)), retired + 1);
                 self.pc = k as u32;
                 stats.dispatches += 1;
                 stats.fused_instrs += retired;
@@ -370,37 +388,74 @@ impl<'a> Machine<'a> {
         let retired = u64::from(sb.fused_retired[pc]);
         self.cycles += u64::from(sb.fused_cost[pc]);
         self.instrs_retired += retired;
-        rt.count_fused_events(u64::from(sb.fused_events[pc]));
+        c.count_fused_events(u64::from(sb.fused_events[pc]));
+        self.count_fetches(c, sb.fetched_targets(pc, None), retired);
         self.pc = k as u32;
         stats.dispatches += 1;
         stats.fused_instrs += retired;
         Ok(())
     }
 
-    /// Superblock variant of [`Machine::run_quiescent_calls`]: identical
-    /// return contract and accounting, with straight-line runs dispatched
-    /// fused. Generic over the runtime so post-fire run-to-end can reuse it
-    /// with the live injector (`stop = u64::MAX`); `rt` must not be able to
-    /// fire at any event below `stop`.
-    pub fn run_sb_calls<R: FiRuntime + ?Sized>(
+    /// Fetch-time accounting of an [`FiCounter::AT_FETCH`] counter:
+    /// `targets` FI targets and the probe overhead of `fetched` fetches.
+    #[inline(always)]
+    fn count_fetches<C: FiCounter + ?Sized>(&mut self, c: &mut C, targets: u64, fetched: u64) {
+        if C::AT_FETCH {
+            c.count_fetched(targets);
+            self.cycles += fetched * c.fetch_overhead();
+        }
+    }
+
+    /// One exact step of the trial loops: the fetch's cycle cost and
+    /// counter accounting (charged even for a trapping instruction), then
+    /// `step_t`, retiring the instruction unless it halts or traps.
+    #[inline(always)]
+    fn step_counted<C: FiCounter + ?Sized, const TRACK: bool>(
         &mut self,
         sb: &SuperblockProgram,
-        rt: &mut R,
+        c: &mut C,
+        stats: &mut SbStats,
+    ) -> Result<Step, Trap> {
+        let e = sb.pre.entry(self.pc).ok_or(Trap::BadPc(self.pc as u64))?;
+        self.cycles += e.cost;
+        self.count_fetches(c, u64::from(e.is_target), 1);
+        let step = self.step_t::<C, TRACK>(&e.instr, c)?;
+        if let Step::Continue = step {
+            self.instrs_retired += 1;
+            stats.stepped_instrs += 1;
+        }
+        Ok(step)
+    }
+
+    /// Run from the current state until `c` has counted `stop` FI events,
+    /// with straight-line runs dispatched fused when `FUSE` (with `FUSE`
+    /// off every instruction goes through the exact `step_t`, which makes
+    /// this the step engine). `c` must not be able to fire at any event
+    /// below `stop`.
+    ///
+    /// Returns `Some(outcome)` when the run *ends* first (the count never
+    /// reached `stop`); `None` at the boundary, where the caller continues
+    /// with [`Machine::run_exact_until_fired`]. With `stop = u64::MAX` it
+    /// runs to the end, e.g. post-fire without convergence.
+    pub fn run_until_count<C: FiCounter + ?Sized, const FUSE: bool>(
+        &mut self,
+        sb: &SuperblockProgram,
+        c: &mut C,
         stop: u64,
         max_cycles: u64,
         stats: &mut SbStats,
     ) -> Option<RunOutcome> {
-        self.sb_calls_core(sb, rt, stop, max_cycles, stats, None)
+        self.count_loop::<C, FUSE>(sb, c, stop, max_cycles, stats, None)
     }
 
-    /// [`Machine::run_sb_calls`], optionally capturing profiling snapshots
-    /// into `builder` exactly where the exact loop does (after the
-    /// instruction whose retirement makes one due).
+    /// [`Machine::run_until_count`], optionally capturing profiling
+    /// snapshots into `builder` exactly where the exact loop does (after
+    /// the instruction whose retirement makes one due).
     #[inline(always)]
-    fn sb_calls_core<R: FiRuntime + ?Sized>(
+    fn count_loop<C: FiCounter + ?Sized, const FUSE: bool>(
         &mut self,
         sb: &SuperblockProgram,
-        rt: &mut R,
+        c: &mut C,
         stop: u64,
         max_cycles: u64,
         stats: &mut SbStats,
@@ -408,39 +463,35 @@ impl<'a> Machine<'a> {
     ) -> Option<RunOutcome> {
         debug_assert_eq!(sb.len(), self.binary.text.len());
         let mut next_due = builder.as_deref().map_or(u64::MAX, |b| b.next_due(self.instrs_retired));
-        while rt.fi_count() < stop {
+        while c.fi_count() < stop {
             if self.cycles >= max_cycles {
                 return Some(RunOutcome::Timeout);
             }
             let pc = self.pc as usize;
-            let n = sb.fused_len.get(pc).copied().unwrap_or(0);
+            let n = if FUSE { sb.fused_len.get(pc).copied().unwrap_or(0) } else { 0 };
             // Strict `<`: block-final cycles below budget implies no
             // interior per-instruction timeout check could have fired
             // (cycle costs are positive, so prefixes are strictly
             // smaller). The events rule keeps the count below `stop` at
             // every point inside the block, so the loop-top stop check
-            // stays exact; likewise no snapshot falls due inside it.
+            // stays exact (the boundary instruction is the last one
+            // executed, as on the per-instruction loop); likewise no
+            // snapshot falls due inside it.
             if n > 0
-                && self.cycles + u64::from(sb.fused_cost[pc]) < max_cycles
-                && rt.fi_count() + u64::from(sb.fused_events[pc]) < stop
+                && self.cycles + sb.block_cycles(pc, c) < max_cycles
+                && c.fi_count() + sb.block_events::<C>(pc) < stop
                 && self.instrs_retired + u64::from(sb.fused_retired[pc]) < next_due
             {
-                match self.exec_fused(sb, pc, n, rt, stats) {
+                match self.exec_fused(sb, pc, n, c, stats) {
                     Ok(()) => continue,
                     Err(t) => return Some(RunOutcome::Trap(t)),
                 }
             }
-            let Some(e) = sb.pre.entry(self.pc) else {
-                return Some(RunOutcome::Trap(Trap::BadPc(self.pc as u64)));
-            };
-            self.cycles += e.cost;
-            match self.step(&e.instr, rt) {
+            match self.step_counted::<C, false>(sb, c, stats) {
                 Ok(Step::Continue) => {
-                    self.instrs_retired += 1;
-                    stats.stepped_instrs += 1;
                     if let Some(b) = builder.as_deref_mut() {
                         if b.due(self.instrs_retired) {
-                            b.push(self.snapshot(rt.fi_count()));
+                            b.push(self.snapshot(c.fi_count()));
                         }
                         next_due = b.next_due(self.instrs_retired);
                     }
@@ -452,162 +503,99 @@ impl<'a> Machine<'a> {
         None
     }
 
-    /// Superblock variant of [`Machine::run_quiescent_probed`]: identical
-    /// return contract and attached-probe accounting (`overhead` cycles and
-    /// FI-target tally per fetched instruction, both charged even for the
-    /// trapping instruction).
-    pub fn run_sb_probed(
-        &mut self,
-        sb: &SuperblockProgram,
-        overhead: u64,
-        count: &mut u64,
-        stop: u64,
-        max_cycles: u64,
-        stats: &mut SbStats,
-    ) -> Option<RunOutcome> {
-        debug_assert_eq!(sb.len(), self.binary.text.len());
-        let mut rt = NoFi;
-        while *count < stop {
-            if self.cycles >= max_cycles {
-                return Some(RunOutcome::Timeout);
-            }
-            let pc = self.pc as usize;
-            let n = sb.fused_len.get(pc).copied().unwrap_or(0);
-            // Strict `<` on the target count: if the block could reach
-            // `stop` at or before its end, fall back to exact stepping so
-            // the boundary instruction is the last one executed — exactly
-            // as the per-instruction loop stops.
-            if n > 0
-                && *count + u64::from(sb.fused_targets[pc]) < stop
-                && self.cycles
-                    + u64::from(sb.fused_cost[pc])
-                    + u64::from(sb.fused_retired[pc]) * overhead
-                    < max_cycles
-            {
-                let before = self.instrs_retired;
-                let fused = self.exec_fused(sb, pc, n, &mut rt, stats);
-                *count += sb.fetched_targets(pc, fused.is_err().then_some(self.pc as usize));
-                // Every retired instruction was fetched; so was a trapping one.
-                let fetched = self.instrs_retired - before + u64::from(fused.is_err());
-                self.cycles += fetched * overhead;
-                match fused {
-                    Ok(()) => continue,
-                    Err(t) => return Some(RunOutcome::Trap(t)),
-                }
-            }
-            let Some(e) = sb.pre.entry(self.pc) else {
-                return Some(RunOutcome::Trap(Trap::BadPc(self.pc as u64)));
-            };
-            self.cycles += overhead + e.cost;
-            if e.is_target {
-                *count += 1;
-            }
-            match self.step(&e.instr, &mut rt) {
-                Ok(Step::Continue) => {
-                    self.instrs_retired += 1;
-                    stats.stepped_instrs += 1;
-                }
-                Ok(Step::Halt(code)) => return Some(RunOutcome::Exit(code)),
-                Err(t) => return Some(RunOutcome::Trap(t)),
-            }
-        }
-        None
-    }
-
-    /// Superblock variant of [`Machine::run_converging_calls`]: same
-    /// snapshot-matching and splice semantics, with fused dispatch between
-    /// match points. Runs post-fire with the live injector, so a re-entered
-    /// `setupFI` draws and logs exactly as on the exact interpreter.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_sb_converging_calls<R: FiRuntime + ?Sized>(
-        &mut self,
-        sb: &SuperblockProgram,
-        rt: &mut R,
-        store: &CheckpointStore,
-        golden: GoldenEnd<'_>,
-        max_cycles: u64,
-        stats: &mut ConvStats,
-        sb_stats: &mut SbStats,
-    ) -> RunOutcome {
-        self.sb_converge_core::<R, false>(
-            sb, rt, &mut 0, store, golden, max_cycles, stats, sb_stats,
-        )
-    }
-
-    /// Superblock variant of [`Machine::run_converging_probed`]: detached
-    /// execution with fetch-time FI-target tallying, fused between snapshot
-    /// match points.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_sb_converging_probed(
-        &mut self,
-        sb: &SuperblockProgram,
-        count: &mut u64,
-        store: &CheckpointStore,
-        golden: GoldenEnd<'_>,
-        max_cycles: u64,
-        stats: &mut ConvStats,
-        sb_stats: &mut SbStats,
-    ) -> RunOutcome {
-        let mut rt = NoFi;
-        self.sb_converge_core::<NoFi, true>(
-            sb, &mut rt, count, store, golden, max_cycles, stats, sb_stats,
-        )
-    }
-
-    /// Shared fused convergence loop; see [`Machine`]'s exact
-    /// `converge_core` for the snapshot-matching discipline it replicates.
-    /// A block is fused only when no golden snapshot `(fi_count, pc)` match
+    /// Post-injection convergence loop: continue from the just-fired state
+    /// under the live (fired) counter, comparing the incremental state
+    /// digest against each golden snapshot when the trial reaches the
+    /// snapshot's `(fi_count, pc)` position; on a match, splice the golden
+    /// suffix and return its outcome. `c.fi_count()` must hold the FI-event
+    /// count *after* the fault fired (what the profiling run had counted
+    /// at the same point on convergence). Keeping the injector attached
+    /// means a `setupFI` re-entered through corrupted control flow draws
+    /// and logs exactly as on the exact interpreter. Execution accounting
+    /// is the exact loop's with no probe attached, so a non-converging
+    /// trial finishes bit-identically to it.
+    ///
+    /// Snapshots are matched by `(fi_count, pc)`, not retired count: for
+    /// the call-hook tools the taken injection branch retires instructions
+    /// the quiescent golden run never executed, so post-fire the trial's
+    /// retired counter is permanently skewed against golden's. The FI-event
+    /// counter is injection-invariant (the extra branch instructions are
+    /// runtime-call plumbing, not FI events), so a trial whose state
+    /// re-converges passes through every later golden snapshot at exactly
+    /// the snapshot's FI count and pc — where the full-state digest decides
+    /// — while the splice adds golden's *suffix deltas* onto the trial's
+    /// own counters, absorbing the skew without measuring it.
+    ///
+    /// With `FUSE`, a block is fused only when no golden snapshot match
     /// point can fall strictly inside it:
     ///
-    /// * call-hook tools, block without FI events: the FI count is constant
-    ///   across the block and its pcs are contiguous, so only the cursor
-    ///   snapshot could match, and only at a pc strictly inside the block —
-    ///   excluded explicitly;
-    /// * call-hook tools, block with `E` FI events: fuse only when the
+    /// * call-hook counter, block without FI events: the FI count is
+    ///   constant across the block and its pcs are contiguous, so only the
+    ///   cursor snapshot could match, and only at a pc strictly inside the
+    ///   block — excluded explicitly;
+    /// * call-hook counter, block with `E` FI events: fuse only when the
     ///   cursor snapshot's FI count exceeds `count + E`, the count at the
     ///   block's end;
-    /// * probed tool: the count advances at fetches inside the block, so
+    /// * fetch counter: the count advances at fetches inside the block, so
     ///   fuse only when the cursor snapshot's window starts strictly after
     ///   the whole block's final count.
     #[allow(clippy::too_many_arguments)]
-    fn sb_converge_core<R: FiRuntime + ?Sized, const PROBED: bool>(
+    pub fn run_to_convergence<C: FiCounter + ?Sized, const FUSE: bool>(
         &mut self,
         sb: &SuperblockProgram,
-        rt: &mut R,
-        count: &mut u64,
+        c: &mut C,
         store: &CheckpointStore,
         golden: GoldenEnd<'_>,
         max_cycles: u64,
-        stats: &mut ConvStats,
-        sb_stats: &mut SbStats,
+        conv: &mut ConvStats,
+        stats: &mut SbStats,
     ) -> RunOutcome {
         debug_assert_eq!(sb.len(), self.binary.text.len());
         let entry_retired = self.instrs_retired;
-        let fi_entry = if PROBED { *count } else { rt.fi_count() };
-        let mut cursor = store.checkpoints.partition_point(|c| c.fi_count < fi_entry);
+        // First candidate: the earliest golden snapshot whose FI-event
+        // window the trial has not passed yet (fi_count is monotone along
+        // the run under both count disciplines).
+        let fi_entry = c.fi_count();
+        let mut cursor = store.checkpoints.partition_point(|ck| ck.fi_count < fi_entry);
         let mut inited = false;
         let outcome = 'run: loop {
-            let fi = if PROBED { *count } else { rt.fi_count() };
-            while store.checkpoints.get(cursor).is_some_and(|c| c.fi_count < fi) {
+            // Skip snapshots whose FI-event window has already passed
+            // without a state match (the while handles adjacent snapshots
+            // with equal counts, which interval thinning can produce).
+            let fi = c.fi_count();
+            while store.checkpoints.get(cursor).is_some_and(|ck| ck.fi_count < fi) {
                 cursor += 1;
             }
             if let Some(ck) = store.checkpoints.get(cursor) {
                 if ck.fi_count == fi && ck.pc == self.pc {
                     if !inited {
+                        // One scan seeds the hasher; later checks pay only
+                        // for pages written since.
                         self.conv_seed(&store.baseline);
                         inited = true;
                     }
-                    let digest = self.conv_refresh(fi);
-                    if digest == ck.digest {
+                    if self.conv_refresh(fi) == ck.digest {
+                        // Converged: the remainder is deterministic and
+                        // equal to the golden run's from this snapshot on.
+                        // Add golden's suffix deltas onto the trial's own
+                        // counters (absorbing any injection-branch skew)
+                        // and correct for probe overhead the profiling run
+                        // paid but a detached post-fire trial does not
+                        // (the +1 fetch is the final non-retiring Halt).
+                        // Only splice when the spliced timing could not
+                        // have hit the cycle budget mid-suffix (cycles are
+                        // monotone, so final < budget implies no interior
+                        // timeout); otherwise keep executing — correct
+                        // either way.
                         let suffix_retired = golden.retired - ck.retired;
                         let suffix_fetches = suffix_retired + 1;
                         let suffix_cycles = (golden.cycles - ck.cycles)
                             - golden.probe_overhead * suffix_fetches;
                         let final_cycles = self.cycles + suffix_cycles;
                         if final_cycles < max_cycles {
-                            stats.converged = true;
-                            stats.checked_instrs = self.instrs_retired - entry_retired;
-                            stats.saved_instrs = suffix_retired;
+                            conv.converged = true;
+                            conv.checked_instrs = self.instrs_retired - entry_retired;
+                            conv.saved_instrs = suffix_retired;
                             self.cycles = final_cycles;
                             self.instrs_retired += suffix_retired;
                             self.output.clear();
@@ -621,53 +609,36 @@ impl<'a> Machine<'a> {
                 break 'run RunOutcome::Timeout;
             }
             let pc = self.pc as usize;
-            let n = sb.fused_len.get(pc).copied().unwrap_or(0);
-            if n > 0 && self.cycles + u64::from(sb.fused_cost[pc]) < max_cycles {
+            let n = if FUSE { sb.fused_len.get(pc).copied().unwrap_or(0) } else { 0 };
+            if n > 0 && self.cycles + sb.block_cycles(pc, c) < max_cycles {
+                let e = sb.block_events::<C>(pc);
                 let fusable = match store.checkpoints.get(cursor) {
                     None => true,
-                    Some(ck) if PROBED => ck.fi_count > *count + u64::from(sb.fused_targets[pc]),
-                    Some(ck) => match sb.fused_events[pc] {
-                        0 => {
-                            ck.fi_count != fi
-                                || (ck.pc as usize) <= pc
-                                || (ck.pc as usize) >= pc + n as usize
-                        }
-                        e => ck.fi_count > fi + u64::from(e),
-                    },
+                    Some(ck) if C::AT_FETCH || e > 0 => ck.fi_count > fi + e,
+                    Some(ck) => {
+                        ck.fi_count != fi
+                            || (ck.pc as usize) <= pc
+                            || (ck.pc as usize) >= pc + n as usize
+                    }
                 };
                 if fusable {
-                    let fused = self.exec_fused(sb, pc, n, rt, sb_stats);
-                    if PROBED {
-                        *count +=
-                            sb.fetched_targets(pc, fused.is_err().then_some(self.pc as usize));
-                    }
-                    match fused {
+                    match self.exec_fused(sb, pc, n, c, stats) {
                         Ok(()) => continue,
                         Err(t) => break 'run RunOutcome::Trap(t),
                     }
                 }
             }
-            let Some(e) = sb.pre.entry(self.pc) else {
-                break 'run RunOutcome::Trap(Trap::BadPc(self.pc as u64));
-            };
-            self.cycles += e.cost;
-            if PROBED && e.is_target {
-                *count += 1;
-            }
             // TRACK=true is a no-op until the hasher is live, so a single
             // monomorphization covers both phases without semantic drift.
-            match self.step_t::<R, true>(&e.instr, rt) {
-                Ok(Step::Continue) => {
-                    self.instrs_retired += 1;
-                    sb_stats.stepped_instrs += 1;
-                }
+            match self.step_counted::<C, true>(sb, c, stats) {
+                Ok(Step::Continue) => {}
                 Ok(Step::Halt(code)) => break 'run RunOutcome::Exit(code),
                 Err(t) => break 'run RunOutcome::Trap(t),
             }
         };
         self.conv = None;
-        if !stats.converged {
-            stats.checked_instrs = self.instrs_retired - entry_retired;
+        if !conv.converged {
+            conv.checked_instrs = self.instrs_retired - entry_retired;
         }
         outcome
     }
@@ -1006,7 +977,7 @@ mod tests {
     use crate::binary::{Binary, Symbol};
     use crate::checkpoint::CheckpointConfig;
     use crate::machine::RunConfig;
-    use crate::rt::QuiescentRt;
+    use crate::rt::{NoFi, QuiescentRt};
 
     fn bin(text: Vec<MInstr>) -> Binary {
         let end = text.len() as u32;
@@ -1019,15 +990,15 @@ mod tests {
         }
     }
 
-    /// Drive a full run through `run_sb_calls` with a NoFi runtime (stop
-    /// never reached) and return (outcome, cycles, retired).
+    /// Drive a full fused run through `run_until_count` with a NoFi
+    /// runtime (stop never reached) and return (outcome, cycles, retired).
     fn run_sb(b: &Binary) -> (RunOutcome, u64, u64, SbStats) {
         let sb = SuperblockProgram::new(b);
         let cfg = RunConfig::default();
         let mut m = Machine::new(b, &cfg);
         let mut stats = SbStats::default();
         let out = m
-            .run_sb_calls(&sb, &mut NoFi, u64::MAX, cfg.max_cycles, &mut stats)
+            .run_until_count::<_, true>(&sb, &mut NoFi, u64::MAX, cfg.max_cycles, &mut stats)
             .expect("bounded run terminates");
         (out, m.cycles, m.instrs_retired, stats)
     }
@@ -1186,13 +1157,14 @@ mod tests {
 
     /// Run `b` to the end fused and exactly under fresh `R` runtimes and
     /// require identical outcome, state and FI count.
-    fn assert_fused_matches_exact<R: FiRuntime + Default>(b: &Binary) -> SbStats {
+    fn assert_fused_matches_exact<R: FiCounter + Default>(b: &Binary) -> SbStats {
         let sb = SuperblockProgram::new(b);
         let cfg = RunConfig::default();
         let (mut fused, mut exact) = (Machine::new(b, &cfg), Machine::new(b, &cfg));
         let (mut rf, mut re) = (R::default(), R::default());
         let mut stats = SbStats::default();
-        let out = fused.run_sb_calls(&sb, &mut rf, u64::MAX, cfg.max_cycles, &mut stats);
+        let max = cfg.max_cycles;
+        let out = fused.run_until_count::<_, true>(&sb, &mut rf, u64::MAX, max, &mut stats);
         let ref_out = exact.run_exact_until_fired(cfg.max_cycles, &mut re, None);
         assert_eq!(out, ref_out);
         assert_eq!(state(&fused), state(&exact));
@@ -1223,9 +1195,11 @@ mod tests {
         for stop in 1..=6 {
             let (mut fused, mut exact) = (Machine::new(&b, &cfg), Machine::new(&b, &cfg));
             let (mut qf, mut qe) = (QuiescentRt::default(), QuiescentRt::default());
-            let mut stats = SbStats::default();
-            assert_eq!(fused.run_sb_calls(&sb, &mut qf, stop, cfg.max_cycles, &mut stats), None);
-            assert_eq!(exact.run_quiescent_calls(sb.pre(), &mut qe, stop, cfg.max_cycles), None);
+            let (mut sf, mut se) = (SbStats::default(), SbStats::default());
+            let max = cfg.max_cycles;
+            assert_eq!(fused.run_until_count::<_, true>(&sb, &mut qf, stop, max, &mut sf), None);
+            assert_eq!(exact.run_until_count::<_, false>(&sb, &mut qe, stop, max, &mut se), None);
+            assert_eq!(se.fused_instrs, 0, "stop {stop}");
             assert_eq!((qf.count, fused.pc), (qe.count, exact.pc), "stop {stop}");
             assert_eq!(state(&fused), state(&exact), "stop {stop}");
         }
@@ -1268,8 +1242,8 @@ mod tests {
             let (mut conv, mut stats) = (ConvStats::default(), SbStats::default());
             let mut q = QuiescentRt::default();
             let max = cfg.max_cycles;
-            let out =
-                m.run_sb_converging_calls(&sb, &mut q, &tail, end, max, &mut conv, &mut stats);
+            let out = m
+                .run_to_convergence::<_, true>(&sb, &mut q, &tail, end, max, &mut conv, &mut stats);
             assert_eq!(out, RunOutcome::Exit(0));
             assert!(conv.converged, "snapshot {j}");
             assert_eq!(conv.checked_instrs, store.checkpoints[j].retired, "snapshot {j}");

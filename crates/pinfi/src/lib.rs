@@ -24,7 +24,7 @@ pub use opcode::{OpcodeFault, OpcodeInjector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use refine_core::FaultRecord;
-use refine_machine::{fi_outputs, MInstr, Probe, ProbeAction};
+use refine_machine::{fi_outputs, FiCounter, FiRuntime, MInstr, Probe, ProbeAction};
 
 /// Per-instruction overhead, in cycles, of the DBI engine while attached.
 /// Calibrated so that the REFINE/PINFI campaign-time ratio lands in the
@@ -135,6 +135,50 @@ impl Probe for PinfiInjector {
 
     fn fired(&self) -> bool {
         self.log.is_some()
+    }
+}
+
+/// The injector as the trial loops' FI counter. Its binary is
+/// uninstrumented, so the runtime hooks are never called: the loops count
+/// targets at fetch, and every fetch pays the probe overhead until the fault
+/// fires and the probe detaches.
+impl FiRuntime for PinfiInjector {
+    fn sel_instr(&mut self, _site: u64) -> bool {
+        false
+    }
+
+    fn setup_fi(&mut self, _nops: u32, _sizes: &[u32]) -> (u32, u32) {
+        (0, 0)
+    }
+
+    fn llfi_inject(&mut self, _site: u64, value: u64, _bits: u32) -> u64 {
+        value
+    }
+
+    fn count_fused_events(&mut self, _n: u64) {}
+
+    fn fi_count(&self) -> u64 {
+        self.count
+    }
+
+    fn fired(&self) -> bool {
+        self.log.is_some()
+    }
+}
+
+impl FiCounter for PinfiInjector {
+    const AT_FETCH: bool = true;
+
+    fn count_fetched(&mut self, n: u64) {
+        self.count += n;
+    }
+
+    fn fetch_overhead(&self) -> u64 {
+        if self.log.is_some() {
+            0
+        } else {
+            PIN_OVERHEAD_CYCLES
+        }
     }
 }
 

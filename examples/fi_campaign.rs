@@ -4,7 +4,8 @@
 //!
 //! Run with: `cargo run --release --example fi_campaign [-- trials]`
 
-use refine_campaign::campaign::{run_campaign, CampaignConfig};
+use refine_campaign::campaign::run_campaign;
+use refine_campaign::engine::EngineConfig;
 use refine_campaign::tools::Tool;
 use refine_stats::chi2_contingency;
 
@@ -16,7 +17,7 @@ fn main() {
     let program = refine_benchmarks::by_name("HPCCG-1.0").unwrap();
     println!("campaign: {} ({}), {} trials per tool", program.name, program.input, trials);
     let module = program.module();
-    let cfg = CampaignConfig { trials, seed: 2017, jobs: 0, checkpoint: true, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials, seed: 2017, jobs: 0, checkpoint: true, ..EngineConfig::default() };
 
     let mut results = Vec::new();
     for tool in Tool::all() {

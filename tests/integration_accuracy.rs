@@ -6,7 +6,8 @@
 //! * LLFI's distribution diverges much more strongly;
 //! * LLFI campaigns are the slowest; REFINE stays in PINFI's neighbourhood.
 
-use refine_campaign::campaign::{run_campaign, CampaignConfig};
+use refine_campaign::campaign::run_campaign;
+use refine_campaign::engine::EngineConfig;
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_stats::chi2_contingency;
 
@@ -52,7 +53,7 @@ fn populations_and_golden_identical_for_refine_and_pinfi() {
 #[test]
 fn refine_tracks_pinfi_better_than_llfi() {
     let m = subject();
-    let cfg = CampaignConfig { trials: 300, seed: 20170612, jobs: 4, checkpoint: true, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: 300, seed: 20170612, jobs: 4, checkpoint: true, ..EngineConfig::default() };
     let llfi = run_campaign(&m, Tool::Llfi, &cfg);
     let refine = run_campaign(&m, Tool::Refine, &cfg);
     let pinfi = run_campaign(&m, Tool::Pinfi, &cfg);
@@ -79,7 +80,7 @@ fn refine_tracks_pinfi_better_than_llfi() {
 #[test]
 fn campaign_speed_shape() {
     let m = subject();
-    let cfg = CampaignConfig { trials: 60, seed: 4, jobs: 4, checkpoint: true, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: 60, seed: 4, jobs: 4, checkpoint: true, ..EngineConfig::default() };
     let llfi = run_campaign(&m, Tool::Llfi, &cfg);
     let refine = run_campaign(&m, Tool::Refine, &cfg);
     let pinfi = run_campaign(&m, Tool::Pinfi, &cfg);

@@ -1,7 +1,8 @@
 //! Campaign-harness integration: the paper's workflow (profile -> inject ->
 //! classify), the 10x timeout rule, determinism, and fault-log replay.
 
-use refine_campaign::campaign::{run_campaign, CampaignConfig};
+use refine_campaign::campaign::run_campaign;
+use refine_campaign::engine::EngineConfig;
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_campaign::{classify, Outcome};
 use refine_machine::RunOutcome;
@@ -43,7 +44,7 @@ fn workflow_profile_then_inject_then_classify() {
 #[test]
 fn campaigns_deterministic_and_complete() {
     let m = small_module();
-    let cfg = CampaignConfig { trials: 50, seed: 11, jobs: 4, checkpoint: true, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: 50, seed: 11, jobs: 4, checkpoint: true, ..EngineConfig::default() };
     for tool in Tool::all() {
         let a = run_campaign(&m, tool, &cfg);
         let b = run_campaign(&m, tool, &cfg);
@@ -57,7 +58,7 @@ fn campaigns_deterministic_and_complete() {
 #[test]
 fn outcome_diversity() {
     let m = small_module();
-    let cfg = CampaignConfig { trials: 80, seed: 5, jobs: 4, checkpoint: true, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: 80, seed: 5, jobs: 4, checkpoint: true, ..EngineConfig::default() };
     for tool in Tool::all() {
         let r = run_campaign(&m, tool, &cfg);
         let nonzero = [r.counts.crash, r.counts.soc, r.counts.benign]

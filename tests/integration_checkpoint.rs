@@ -5,7 +5,7 @@
 //! three tools (the DESIGN.md checkpoint-semantics invariant, end to end).
 
 use proptest::prelude::*;
-use refine_campaign::campaign::CampaignConfig;
+use refine_campaign::engine::EngineConfig;
 use refine_campaign::experiments::{run_suite_sharded, SuiteObserver};
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_core::CheckpointOptions;
@@ -26,7 +26,7 @@ fn all_apps() -> Vec<String> {
 /// Run the whole-suite sweep and return the serialized outcome table plus
 /// the trace records sorted by (app, tool, trial id).
 fn sweep(jobs: usize, checkpoint: bool) -> (String, Vec<TrialTrace>) {
-    let cfg = CampaignConfig { trials: TRIALS, seed: 0xC4A7, jobs, checkpoint, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: TRIALS, seed: 0xC4A7, jobs, checkpoint, ..EngineConfig::default() };
     let (sink, buf) = TraceSink::in_memory();
     let apps = all_apps();
     let (suite, _report) = {

@@ -6,7 +6,7 @@
 //! invariant, end to end).
 
 use proptest::prelude::*;
-use refine_campaign::campaign::CampaignConfig;
+use refine_campaign::engine::EngineConfig;
 use refine_campaign::classify::{classify, Outcome};
 use refine_campaign::experiments::{run_suite_sharded, SuiteObserver};
 use refine_campaign::tools::{PreparedTool, Tool};
@@ -29,12 +29,12 @@ fn all_apps() -> Vec<String> {
 /// serialized outcome table plus the trace records sorted by
 /// (app, tool, trial id).
 fn sweep(jobs: usize, convergence: bool) -> (String, Vec<TrialTrace>) {
-    let cfg = CampaignConfig {
+    let cfg = EngineConfig {
         trials: TRIALS,
         seed: 0xC09E,
         jobs,
         convergence,
-        ..CampaignConfig::default()
+        ..EngineConfig::default()
     };
     let (sink, buf) = TraceSink::in_memory();
     let apps = all_apps();

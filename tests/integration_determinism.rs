@@ -2,8 +2,7 @@
 //! outcome tables and trace-record sets at every `--jobs` count (the
 //! DESIGN.md deterministic-sharding invariant, end to end).
 
-use refine_campaign::campaign::CampaignConfig;
-use refine_campaign::engine::CacheStats;
+use refine_campaign::engine::{CacheStats, EngineConfig};
 use refine_campaign::experiments::{run_suite_sharded, SuiteObserver};
 use refine_telemetry::{TraceSink, TrialTrace};
 use serde::Serialize;
@@ -16,7 +15,7 @@ const APPS: [&str; 2] = ["HPCCG-1.0", "CoMD"];
 /// outcome table, the trace records sorted by (app, tool, trial id), and
 /// the run's cache statistics.
 fn sweep(jobs: usize) -> (String, Vec<TrialTrace>, CacheStats) {
-    let cfg = CampaignConfig { trials: TRIALS, seed: 0xD37, jobs, checkpoint: true, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: TRIALS, seed: 0xD37, jobs, checkpoint: true, ..EngineConfig::default() };
     let (sink, buf) = TraceSink::in_memory();
     let apps: Vec<String> = APPS.iter().map(|s| s.to_string()).collect();
     let (suite, report) = {

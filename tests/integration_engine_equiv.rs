@@ -12,7 +12,6 @@
 //!   points.
 
 use proptest::prelude::*;
-use refine_campaign::campaign::CampaignConfig;
 use refine_campaign::engine::{
     run_sweep, ArtifactCache, ArtifactSource, EngineCampaign, EngineConfig, EngineHooks,
 };
@@ -49,14 +48,14 @@ fn specs() -> &'static Vec<EngineCampaign> {
 }
 
 fn cfg(engine: ExecEngine, jobs: usize, checkpoint: bool) -> EngineConfig {
-    EngineConfig::from_campaign(&CampaignConfig {
+    EngineConfig {
         trials: TRIALS,
         seed: SEED,
         jobs,
         checkpoint,
         engine,
-        ..CampaignConfig::default()
-    })
+        ..EngineConfig::default()
+    }
 }
 
 /// Key usable to sort trace records into a canonical order (sharded sweeps
@@ -111,8 +110,8 @@ fn engines_byte_identical_across_suite_and_jobs() {
     assert_eq!(rec, base_rec);
 }
 
-/// Same identity with checkpointing off: this drives the cold superblock
-/// path (`run_trial_cold_sb`) against the cold exact path for every trial.
+/// Same identity with checkpointing off: this drives the cold trial driver
+/// with fusion on against the same driver with fusion off for every trial.
 #[test]
 fn engines_byte_identical_without_checkpoints() {
     let cache = ArtifactCache::new();
@@ -120,6 +119,48 @@ fn engines_byte_identical_without_checkpoints() {
     let (sb_sum, sb_rec) = sweep(ExecEngine::Superblock, 2, false, &cache);
     assert_eq!(sb_sum, step_sum);
     assert_eq!(sb_rec, step_rec);
+}
+
+/// Both sides of the sweep identities above run the one trial driver, so
+/// compare it with the `run_trial_exact` oracle directly: every (app, tool),
+/// a few trials with checkpoints on and off, under both engines. The step
+/// engine must never fuse and the superblock engine must.
+#[test]
+fn driver_matches_exact_oracle_across_suite() {
+    use refine_core::CheckpointOptions;
+    for b in all_apps() {
+        let module = b.module();
+        for tool in Tool::all() {
+            let mut fused = 0;
+            for ckpt in [CheckpointOptions::default(), CheckpointOptions::disabled()] {
+                let p = PreparedTool::prepare_opt(&module, tool, &ckpt);
+                for k in 0..2u64 {
+                    let target = 1 + (p.population - 1) * (2 * k + 1) / 4;
+                    let seed = SEED ^ k;
+                    let oracle = p.run_trial_exact(target, seed);
+                    for engine in [ExecEngine::Superblock, ExecEngine::Step] {
+                        let t = p.run_trial_engine(engine, target, seed);
+                        let what = format!(
+                            "{} {} {engine:?} checkpoint={} trial {k}",
+                            b.name,
+                            tool.name(),
+                            ckpt.enabled
+                        );
+                        assert_eq!(t.result.outcome, oracle.result.outcome, "{what}");
+                        assert_eq!(bits(&t.result.output), bits(&oracle.result.output), "{what}");
+                        assert_eq!(t.result.cycles, oracle.result.cycles, "{what}");
+                        assert_eq!(t.result.instrs_retired, oracle.result.instrs_retired, "{what}");
+                        assert_eq!(t.log, oracle.log, "{what}");
+                        match engine {
+                            ExecEngine::Step => assert_eq!(t.fast.sb_fused_instrs, 0, "{what}"),
+                            ExecEngine::Superblock => fused += t.fast.sb_fused_instrs,
+                        }
+                    }
+                }
+            }
+            assert!(fused > 0, "{} {}: the superblock engine never fused", b.name, tool.name());
+        }
+    }
 }
 
 /// Every `selInstr` call REFINE emits for the paper suite is part of the

@@ -17,7 +17,7 @@
 //! drift that moves all tiers at once (a compiler pass, the RNG, the
 //! classifier) passes them; it fails here.
 
-use refine_campaign::campaign::CampaignConfig;
+use refine_campaign::engine::EngineConfig;
 use refine_campaign::experiments::{run_suite, table6};
 use refine_campaign::format_events;
 use refine_ir::interp::{Interp, OutEvent as IrEvent};
@@ -120,8 +120,7 @@ fn interpreter_matches_snapshots() {
 /// exist (renames must move their snapshot).
 #[test]
 fn no_orphan_snapshots() {
-    let mut known: Vec<String> =
-        programs().iter().map(|b| format!("{}.txt", b.name)).collect();
+    let mut known: Vec<String> = programs().iter().map(|b| format!("{}.txt", b.name)).collect();
     known.push(TABLE6_SNAPSHOT.to_string());
     for entry in std::fs::read_dir(golden_dir()).expect("tests/golden missing") {
         let name = entry.unwrap().file_name().to_string_lossy().into_owned();
@@ -136,7 +135,7 @@ fn no_orphan_snapshots() {
 /// trials per campaign, seed 7, on the default trial path.
 #[test]
 fn table6_matches_pinned_snapshot() {
-    let cfg = CampaignConfig { trials: 12, seed: 7, jobs: 2, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: 12, seed: 7, jobs: 2, ..EngineConfig::default() };
     let rendered = table6(&run_suite(&cfg, None, |_, _| {}));
     let path = golden_dir().join(TABLE6_SNAPSHOT);
     if std::env::var_os("REFINE_UPDATE_GOLDEN").is_some() {

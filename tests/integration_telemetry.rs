@@ -3,8 +3,9 @@
 //! campaign's own outcome counts.
 
 use refine_campaign::campaign::{
-    run_campaign_observed, CampaignConfig, CampaignHooks, OutcomeCounts,
+    run_campaign_observed, CampaignHooks, OutcomeCounts,
 };
+use refine_campaign::engine::EngineConfig;
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_telemetry::trace::{read_jsonl, TraceSummary};
 use refine_telemetry::{Progress, TraceSink};
@@ -15,7 +16,7 @@ const TRIALS: u64 = 32;
 fn traced_campaign_emits_one_record_per_trial() {
     refine_telemetry::enable();
     let module = refine_benchmarks::by_name("matmul").expect("matmul extra exists").module();
-    let cfg = CampaignConfig { trials: TRIALS, seed: 0xC0FFEE, jobs: 2, checkpoint: true, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: TRIALS, seed: 0xC0FFEE, jobs: 2, checkpoint: true, ..EngineConfig::default() };
 
     let dir = std::env::temp_dir().join("refine-telemetry-integration");
     std::fs::create_dir_all(&dir).unwrap();
@@ -123,7 +124,7 @@ fn untraced_campaign_is_unchanged_by_observers() {
     // app name is part of that identity — it salts the per-trial fault
     // streams (`program_salt`) — so it is held fixed here.
     let module = refine_benchmarks::by_name("matmul").unwrap().module();
-    let cfg = CampaignConfig { trials: 16, seed: 9, jobs: 2, checkpoint: true, ..CampaignConfig::default() };
+    let cfg = EngineConfig { trials: 16, seed: 9, jobs: 2, checkpoint: true, ..EngineConfig::default() };
     let prepared = PreparedTool::prepare(&module, Tool::Refine);
 
     let bare = CampaignHooks { app: "matmul", sink: None, progress: None };
@@ -159,7 +160,7 @@ fn artifact_cache_counts_only_demand_lookups() {
     // N misses and 0 hits, and the telemetry counters agree. (The other
     // tests here use pre-prepared artifacts, which bypass the cache.)
     use refine_campaign::engine::{
-        run_sweep, ArtifactCache, ArtifactSource, EngineCampaign, EngineConfig, EngineHooks,
+        run_sweep, ArtifactCache, ArtifactSource, EngineCampaign, EngineHooks,
     };
     use std::sync::Arc;
     refine_telemetry::enable();
@@ -174,12 +175,12 @@ fn artifact_cache_counts_only_demand_lookups() {
             source: ArtifactSource::Module(Arc::clone(&module)),
         })
         .collect();
-    let cfg = EngineConfig::from_campaign(&CampaignConfig {
+    let cfg = EngineConfig {
         trials: 4,
         seed: 3,
         jobs: 1,
-        ..CampaignConfig::default()
-    });
+        ..EngineConfig::default()
+    };
     let report = run_sweep(&specs, &cfg, &ArtifactCache::new(), &EngineHooks::default());
     let n = specs.len() as u64;
     assert_eq!((report.cache.misses, report.cache.hits), (n, 0));
