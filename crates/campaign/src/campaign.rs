@@ -319,6 +319,16 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// Known answer: every pinned table draws its fault samples from these
+    /// streams, so a change to the derivation (or to `program_salt`) fails
+    /// here first.
+    #[test]
+    fn trial_stream_is_pinned() {
+        assert_eq!(program_salt("CoMD"), 0x8350_e4ac_8f4b_f920);
+        let s = trial_stream(7, program_salt("CoMD"), Tool::Refine, 3);
+        assert_eq!(s, (0x406f_895d_0b49_602a, 0xcc17_a87d_0aaa_70d2));
+    }
+
     #[test]
     fn outcome_counts_helpers() {
         let mut c = OutcomeCounts::default();

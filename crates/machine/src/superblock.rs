@@ -11,9 +11,10 @@
 //! block.
 //!
 //! Every µop carries the pc of the next µop, so a superblock is a *chain*:
-//! normally `pc + 1`, but a non-firing REFINE site collapses into one µop
-//! whose successor is the site's resume point. The site idiom (emitted by
-//! REFINE's backend pass, matched here as a pure ISA pattern) is
+//! normally `pc + 1`, but a collapsed idiom's successor is the pc after
+//! the instructions it stands for. Two idioms collapse, both matched as
+//! pure ISA patterns. A non-firing REFINE site (emitted by REFINE's
+//! backend pass) is
 //!
 //! ```text
 //!   pc:    st [S0], r0 ; rdflags r0 ; st [SF], r0 ; call selInstr
@@ -23,19 +24,34 @@
 //!
 //! with `S0 != SF` absolute, 8-byte aligned and inside the data segment.
 //! When `selInstr` returns 0 its net effect is `[S0] = r0`, `[SF] = flags`,
-//! `flags &= 0xf` and one FI event, which the collapsed µop performs while
-//! the block charges the ten instructions' summed cycles and retired count.
-//! `CallRt injectFault` (LLFI) likewise lowers to a µop that counts one
-//! event and leaves the value unchanged. Per-chain suffix sums (cycle cost,
-//! retired instructions, PINFI targets, FI events) are kept as `u32`.
+//! `flags &= 0xf` and one FI event. LLFI's inject idiom is
 //!
-//! Fusion boundaries: a superblock ends at any control transfer (`Jmp`,
-//! `Jcc`, `Call`, `Ret`) outside a collapsed site, at every other `CallRt`
-//! (`setupFI`, an unmatched `selInstr`, output and math calls must see
-//! exact per-call dispatch), at `Halt`, and before a µop whose successor
-//! would leave the text section (so the strict fallthrough pc-bounds trap
-//! is always raised by the exact step). Instructions that can trap
-//! mid-block (memory, divide, push/pop) *are* fused: the block dispatcher
+//! ```text
+//!   pc:    mov r0, rX ; call injectFaultI ; mov rY, r0   -> pc + 3
+//! ```
+//!
+//! or its `fmov`/`injectFaultF` form, with or without the trailing move
+//! (then `-> pc + 2`). A non-firing `injectFault` returns its argument, so
+//! the net effect is `r0 = rX`, `rY = r0` and one FI event. Each idiom
+//! collapses into one µop that performs that effect while the block
+//! charges the instructions' summed cycles and retired count and one FI
+//! event. An `injectFault` outside the idiom lowers to a µop that counts
+//! one event and leaves the value unchanged. Per-chain suffix sums (cycle
+//! cost, retired instructions, PINFI targets, FI events) are kept as `u32`.
+//!
+//! Control transfers (`Jmp`, `Jcc`, `Call`, `Ret`) fuse as the last µop of
+//! their chain. Their handlers set `pc` themselves (their `next` is a
+//! sentinel), `Call` pushes through the same tracked store as `step_t`, and
+//! the chain's dynamic successor is decided at the next loop top. Fusion
+//! boundaries: a chain ends after a control transfer, at every `CallRt`
+//! but `injectFault` (`setupFI`, an unmatched `selInstr`, output and math
+//! calls must see exact per-call dispatch), at `Halt`, and before a µop
+//! whose successor would leave the text section. A `Jmp` or `Call` whose
+//! target, or a `Jcc` whose target or fall-through, lies outside the text
+//! stays stepped: `step_t` moves `pc` onto the bad target before trapping.
+//! So every pc-bounds trap on a static successor is raised by the exact
+//! step. Instructions that can trap mid-block (memory, divide, push/pop,
+//! `Call`, `Ret` to a bad address) *are* fused: the block dispatcher
 //! materializes the exact architectural state at the trapping µop — same
 //! cycles (cost of the trapping instruction included, as the exact loop
 //! adds cost before stepping), same retired count (trapping instruction not
@@ -68,10 +84,12 @@ use crate::machine::{
     ConvStats, GoldenEnd, Machine, RunConfig, RunOutcome, RunResult, Step, Trap, GLOBAL_BASE,
 };
 use crate::rt::FiCounter;
+use std::ops::Range;
 
 /// A µop handler: executes one fused instruction's data side effects.
-/// Never touches `pc`, `cycles` or `instrs_retired` — the block dispatcher
-/// accounts for those in bulk.
+/// Never touches `cycles` or `instrs_retired` — the block dispatcher
+/// accounts for those in bulk — and only a control transfer, the last µop
+/// of its chain, sets `pc`.
 type UopFn = fn(&mut Machine<'_>, &Uop) -> Result<(), Trap>;
 
 /// One predecoded instruction with fully resolved operand offsets. The
@@ -88,6 +106,10 @@ struct Uop {
     next: u32,
     imm: u64,
 }
+
+/// The `next` of a control-transfer µop: its handler sets `pc`, and it is
+/// always the last µop of its chain.
+const PC_SET: u32 = u32::MAX;
 
 /// Dispatch counters for the superblock engine, reported through
 /// `TrialFastStats` and the telemetry registry.
@@ -119,7 +141,7 @@ impl SbStats {
 /// block's sum when `pc` heads a block.
 #[derive(Debug)]
 pub struct SuperblockProgram {
-    /// One µop per text instruction; terminator slots hold a placeholder
+    /// One µop per text instruction; unfusable slots hold a placeholder
     /// that is never dispatched (their `fused_len` is 0).
     uops: Vec<Uop>,
     /// `fused_len[pc]` = number of µops in the chain headed at `pc` (0 when
@@ -127,13 +149,14 @@ pub struct SuperblockProgram {
     fused_len: Vec<u32>,
     /// Suffix-sum cycle costs.
     fused_cost: Vec<u32>,
-    /// Suffix-sum retired instructions (a collapsed site retires ten).
+    /// Suffix-sum retired instructions (a collapsed REFINE site retires
+    /// ten, an LLFI inject idiom two or three).
     fused_retired: Vec<u32>,
     /// Suffix-sum FI-target counts (PINFI accounting).
     fused_targets: Vec<u32>,
-    /// Suffix-sum FI events (collapsed sites, LLFI inject calls).
+    /// Suffix-sum FI events (collapsed sites and idioms, LLFI inject calls).
     fused_events: Vec<u32>,
-    /// Number of REFINE sites collapsed into one µop.
+    /// Number of REFINE sites and LLFI inject idioms collapsed into one µop.
     collapsed_sites: usize,
     /// The plain predecoded stream for exact-step fallback, so superblock
     /// callers don't also need a separate [`Predecoded`].
@@ -154,6 +177,10 @@ impl SuperblockProgram {
         let mut fused_events = vec![0u32; n];
         let mut collapsed_sites = 0;
         let entry = |pc: usize| pre.entry(pc as u32).expect("pc in range");
+        // Summed cycle cost and FI targets of the instructions in `r`.
+        let span = |r: Range<usize>| {
+            r.fold((0, 0), |(c, t), k| (c + entry(k).cost, t + u64::from(entry(k).is_target)))
+        };
         // Reverse scan: a µop's successor is summed before the µop itself
         // whenever the successor lies later in the text, which holds for
         // `pc + 1` and for every site the REFINE pass lays out.
@@ -163,24 +190,35 @@ impl SuperblockProgram {
                 uops[pc] = site;
                 collapsed_sites += 1;
                 let post = site.next as usize - 3;
-                (pc..pc + 7).chain(post..post + 3).fold((0, 10, 0, 1), |(c, r, t, e), k| {
-                    (c + entry(k).cost, r, t + u64::from(entry(k).is_target), e)
-                })
-            } else if is_terminator(&text[pc]) {
+                let ((c0, t0), (c1, t1)) = (span(pc..pc + 7), span(post..post + 3));
+                (c0 + c1, 10, t0 + t1, 1)
+            } else if let Some(idiom) = match_llfi_inject(text, pc) {
+                uops[pc] = idiom;
+                collapsed_sites += 1;
+                let end = idiom.next as usize;
+                let (c, t) = span(pc..end);
+                (c, (end - pc) as u64, t, 1)
+            } else if is_unfusable(pc, &text[pc], n) {
                 continue;
             } else {
                 let e = entry(pc);
                 (e.cost, 1, u64::from(e.is_target), u64::from(is_llfi_inject(&text[pc])))
             };
-            let next = uops[pc].next as usize;
-            // A µop whose successor leaves the text is left to the exact
-            // step's pc-bounds trap.
-            if next >= n {
-                continue;
-            }
+            // The successor: none after a control transfer, whose handler
+            // sets `pc` and which therefore ends its chain. A µop whose
+            // successor leaves the text is left to the exact step's
+            // pc-bounds trap.
+            let next = match uops[pc].next {
+                PC_SET => None,
+                k if (k as usize) < n => Some(k as usize),
+                _ => continue,
+            };
             // Link the successor's chain when it is already summed;
             // otherwise the chain ends after this µop.
-            let tail = |v: &[u32]| if next > pc { u64::from(v[next]) } else { 0 };
+            let tail = |v: &[u32]| match next {
+                Some(k) if k > pc => u64::from(v[k]),
+                _ => 0,
+            };
             // Cycle costs are positive, so the cost sum bounds the others.
             let Ok(cost) = u32::try_from(own.0 + tail(&fused_cost)) else { continue };
             fused_cost[pc] = cost;
@@ -211,14 +249,8 @@ impl SuperblockProgram {
         self.uops.is_empty()
     }
 
-    /// Number of superblock heads (distinct fused blocks a run can enter).
-    pub fn block_count(&self) -> usize {
-        (0..self.uops.len())
-            .filter(|&pc| self.fused_len[pc] > 0 && (pc == 0 || self.fused_len[pc - 1] == 0))
-            .count()
-    }
-
-    /// Number of REFINE sites collapsed into a single µop.
+    /// Number of REFINE sites and LLFI inject idioms collapsed into a
+    /// single µop (a binary holds only one kind).
     pub fn collapsed_sites(&self) -> usize {
         self.collapsed_sites
     }
@@ -267,14 +299,20 @@ impl SuperblockProgram {
     }
 }
 
-fn is_terminator(i: &MInstr) -> bool {
-    match i {
-        MInstr::Jmp { .. }
-        | MInstr::Jcc { .. }
-        | MInstr::Call { .. }
-        | MInstr::Ret
-        | MInstr::Halt => true,
+/// Whether the instruction at `pc` of an `n`-instruction text is stepped
+/// exactly instead of fused: `Halt`, every runtime call but `injectFault`
+/// (`setupFI`, an unmatched `selInstr`, output and math calls need exact
+/// per-call dispatch), and a `jmp`, `call` or `jcc` with a static successor
+/// outside the text (`step_t` moves `pc` there before trapping, where the
+/// fused trap path leaves it on the trapping µop). Every other control
+/// transfer fuses as the end of its chain.
+fn is_unfusable(pc: usize, i: &MInstr, n: usize) -> bool {
+    let outside = |t: u32| t as usize >= n;
+    match *i {
+        MInstr::Halt => true,
         MInstr::CallRt { .. } => !is_llfi_inject(i),
+        MInstr::Jmp { target } | MInstr::Call { target } => outside(target),
+        MInstr::Jcc { target, .. } => outside(target) || pc + 1 >= n,
         _ => false,
     }
 }
@@ -328,6 +366,32 @@ fn match_site(binary: &Binary, pc: usize) -> Option<Uop> {
     })
 }
 
+/// Match LLFI's inject idiom headed at `pc`, `mov r0, rX; call
+/// injectFaultI` with an optional trailing `mov rY, r0` (or its `fmov`,
+/// `injectFaultF` form), and return its collapsed µop, whose `next` is the
+/// pc after the idiom. Non-firing, `injectFault` returns its argument, so
+/// the idiom is `r0 = rX` (then `rY = r0`) and one FI event.
+fn match_llfi_inject(text: &[MInstr], pc: usize) -> Option<Uop> {
+    let (float, x) = match text.get(pc..pc + 2)? {
+        [MInstr::MovRR { rd: 0, ra }, MInstr::CallRt { func: RtFunc::LlfiInjectI, .. }] => {
+            (false, *ra)
+        }
+        [MInstr::FMovRR { fd: 0, fa }, MInstr::CallRt { func: RtFunc::LlfiInjectF, .. }] => {
+            (true, *fa)
+        }
+        _ => return None,
+    };
+    let y = match text.get(pc + 2) {
+        Some(&MInstr::MovRR { rd, ra: 0 }) if !float => Some(rd),
+        Some(&MInstr::FMovRR { fd, fa: 0 }) if float => Some(fd),
+        _ => None,
+    };
+    // a = rY (or 0, making the trailing move a no-op), b = rX.
+    let exec: UopFn = if float { u_llfi_inject::<true> } else { u_llfi_inject::<false> };
+    let next = (pc + if y.is_some() { 3 } else { 2 }) as u32;
+    Some(Uop { exec, a: y.unwrap_or(0), b: x, c: 0, d: 0, next, imm: 0 })
+}
+
 impl<'a> Machine<'a> {
     /// Superblock variant of [`Machine::run_checkpointed`] for call-hook
     /// binaries (no probe): the same run, result and snapshots, with
@@ -371,8 +435,9 @@ impl<'a> Machine<'a> {
             if let Err(t) = (u.exec)(self, u) {
                 // The exact loop adds the trapping instruction's cost
                 // before stepping but does not retire it, and leaves pc on
-                // the trapping instruction. A collapsed site cannot trap,
-                // so `k` is a plain instruction; it was fetched too.
+                // the trapping instruction. A collapsed site or inject
+                // idiom cannot trap, so `k` is a single instruction; it
+                // was fetched too.
                 let (cycles, retired, events) = sb.prefix(pc, k);
                 self.cycles += cycles + sb.pre.entry(k as u32).expect("pc in range").cost;
                 self.instrs_retired += retired;
@@ -390,7 +455,9 @@ impl<'a> Machine<'a> {
         self.instrs_retired += retired;
         c.count_fused_events(u64::from(sb.fused_events[pc]));
         self.count_fetches(c, sb.fetched_targets(pc, None), retired);
-        self.pc = k as u32;
+        if k != PC_SET as usize {
+            self.pc = k as u32;
+        }
         stats.dispatches += 1;
         stats.fused_instrs += retired;
         Ok(())
@@ -654,8 +721,8 @@ fn u_nop(_m: &mut Machine<'_>, _u: &Uop) -> Result<(), Trap> {
     Ok(())
 }
 
-fn u_term(_m: &mut Machine<'_>, _u: &Uop) -> Result<(), Trap> {
-    unreachable!("terminator µop is never dispatched fused")
+fn u_unfusable(_m: &mut Machine<'_>, _u: &Uop) -> Result<(), Trap> {
+    unreachable!("an unfusable instruction's µop is never dispatched fused")
 }
 
 fn u_mov_rr(m: &mut Machine<'_>, u: &Uop) -> Result<(), Trap> {
@@ -902,6 +969,58 @@ fn u_site(m: &mut Machine<'_>, u: &Uop) -> Result<(), Trap> {
     Ok(())
 }
 
+/// A collapsed LLFI inject idiom (`F`: its float form): `r0 = rX` with
+/// `b` = X, then the trailing `rY = r0` with `a` = Y (0 without one).
+fn u_llfi_inject<const F: bool>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Trap> {
+    let regs = if F { &mut m.fregs } else { &mut m.regs };
+    let v = regs[u.b as usize];
+    regs[0] = v;
+    regs[u.a as usize] = v;
+    Ok(())
+}
+
+// Control transfers end their chain and set `pc` themselves (their `next`
+// is `PC_SET`). `imm` packs the target (low 32 bits) and the
+// fall-through pc (high 32 bits), both checked against the text at build
+// time. On a trap (`Call` past the stack, `Ret` to a bad address) the
+// dispatcher leaves `pc` on the transfer, as `step_t` does.
+
+fn u_jmp(m: &mut Machine<'_>, u: &Uop) -> Result<(), Trap> {
+    m.pc = u.imm as u32;
+    Ok(())
+}
+
+fn u_jcc<const C: usize>(m: &mut Machine<'_>, u: &Uop) -> Result<(), Trap> {
+    m.pc = if CCS[C].eval(m.flags) { u.imm as u32 } else { (u.imm >> 32) as u32 };
+    Ok(())
+}
+
+fn jcc_fn(cc: Cc) -> UopFn {
+    match cc {
+        Cc::E => u_jcc::<0>,
+        Cc::Ne => u_jcc::<1>,
+        Cc::Lt => u_jcc::<2>,
+        Cc::Le => u_jcc::<3>,
+        Cc::Gt => u_jcc::<4>,
+        Cc::Ge => u_jcc::<5>,
+    }
+}
+
+fn u_call(m: &mut Machine<'_>, u: &Uop) -> Result<(), Trap> {
+    m.push_t::<true>(u.imm >> 32)?;
+    m.pc = u.imm as u32;
+    Ok(())
+}
+
+fn u_ret(m: &mut Machine<'_>, _u: &Uop) -> Result<(), Trap> {
+    let ra = m.pop()?;
+    if ra as usize >= m.binary.text.len() {
+        return Err(Trap::BadPc(ra));
+    }
+    m.pc = ra as u32;
+    Ok(())
+}
+
 /// Select the memory-shape instantiation of a base/index const-generic
 /// handler for `$mem` and build its µop (a = base, b = index, c = scale,
 /// d = data register, imm = displacement).
@@ -927,14 +1046,24 @@ macro_rules! mem_uop {
     }};
 }
 
-/// Lower the instruction at `pc` to its µop (successor `pc + 1`).
-/// Terminators get a placeholder that is never dispatched (their
+/// Lower the instruction at `pc` to its µop (successor `pc + 1`, or
+/// [`PC_SET`] for a control transfer, which sets `pc` itself). Unfusable
+/// instructions get a placeholder that is never dispatched (their
 /// `fused_len` is always 0); `injectFault` lowers to a no-op whose event
 /// the block counts.
 fn lower(pc: usize, instr: &MInstr) -> Uop {
     let next = pc as u32 + 1;
     let simple =
         |exec: UopFn, a: u8, b: u8, c: u8, imm: u64| Uop { exec, a, b, c, d: 0, next, imm };
+    let transfer = |exec: UopFn, target: u32| Uop {
+        exec,
+        a: 0,
+        b: 0,
+        c: 0,
+        d: 0,
+        next: PC_SET,
+        imm: u64::from(target) | u64::from(next) << 32,
+    };
     match *instr {
         MInstr::Nop => simple(u_nop, 0, 0, 0, 0),
         MInstr::MovRR { rd, ra } => simple(u_mov_rr, rd, ra, 0, 0),
@@ -962,12 +1091,11 @@ fn lower(pc: usize, instr: &MInstr) -> Uop {
         MInstr::CallRt { func: RtFunc::LlfiInjectI | RtFunc::LlfiInjectF, .. } => {
             simple(u_nop, 0, 0, 0, 0)
         }
-        MInstr::Jmp { .. }
-        | MInstr::Jcc { .. }
-        | MInstr::Call { .. }
-        | MInstr::Ret
-        | MInstr::CallRt { .. }
-        | MInstr::Halt => simple(u_term, 0, 0, 0, 0),
+        MInstr::Jmp { target } => transfer(u_jmp, target),
+        MInstr::Jcc { cc, target } => transfer(jcc_fn(cc), target),
+        MInstr::Call { target } => transfer(u_call, target),
+        MInstr::Ret => transfer(u_ret, 0),
+        MInstr::CallRt { .. } | MInstr::Halt => simple(u_unfusable, 0, 0, 0, 0),
     }
 }
 
@@ -976,8 +1104,10 @@ mod tests {
     use super::*;
     use crate::binary::{Binary, Symbol};
     use crate::checkpoint::CheckpointConfig;
-    use crate::machine::RunConfig;
-    use crate::rt::{NoFi, QuiescentRt};
+    use crate::isa::SP;
+    use crate::machine::{RunConfig, STACK_TOP};
+    use crate::rt::{pack, NoFi, QuiescentRt};
+    use std::ops::RangeInclusive;
 
     fn bin(text: Vec<MInstr>) -> Binary {
         let end = text.len() as u32;
@@ -1045,8 +1175,8 @@ mod tests {
 
     #[test]
     fn loops_and_branches_match_exact() {
-        // Sum 1..=10 with a backward branch: alternating fused bodies and
-        // exact-stepped terminators.
+        // Sum 1..=10 with a backward branch: one fused chain per
+        // iteration, ending in the loop branch.
         let b = bin(vec![
             MInstr::MovRI { rd: 1, imm: 0 },  // acc
             MInstr::MovRI { rd: 2, imm: 10 }, // i
@@ -1151,13 +1281,19 @@ mod tests {
     }
 
     /// Architectural state compared between engines.
-    fn state(m: &Machine<'_>) -> (u64, u64, u32, [u64; 16], u8, Vec<u64>) {
-        (m.cycles, m.instrs_retired, m.pc, m.regs, m.flags, m.data.clone())
+    type State = (u64, u64, u32, [u64; 16], [u64; 16], u8, Vec<u64>, Vec<u64>);
+
+    fn state(m: &Machine<'_>) -> State {
+        let stack = m.stack[m.stack_lo..].to_vec();
+        (m.cycles, m.instrs_retired, m.pc, m.regs, m.fregs, m.flags, m.data.clone(), stack)
     }
 
     /// Run `b` to the end fused and exactly under fresh `R` runtimes and
-    /// require identical outcome, state and FI count.
-    fn assert_fused_matches_exact<R: FiCounter + Default>(b: &Binary) -> SbStats {
+    /// require identical outcome, state and FI count; returns the fused
+    /// run's outcome, machine and stats.
+    fn assert_fused_matches_exact<R: FiCounter + Default>(
+        b: &Binary,
+    ) -> (RunOutcome, Machine<'_>, SbStats) {
         let sb = SuperblockProgram::new(b);
         let cfg = RunConfig::default();
         let (mut fused, mut exact) = (Machine::new(b, &cfg), Machine::new(b, &cfg));
@@ -1169,7 +1305,7 @@ mod tests {
         assert_eq!(out, ref_out);
         assert_eq!(state(&fused), state(&exact));
         assert_eq!(rf.fi_count(), re.fi_count());
-        stats
+        (out.expect("bounded run ends"), fused, stats)
     }
 
     #[test]
@@ -1178,22 +1314,22 @@ mod tests {
         let sb = SuperblockProgram::new(&b);
         assert_eq!(sb.collapsed_sites(), 2);
         // Block at the loop head: head, site A (10), resume add, site B
-        // (10), cmp — two events, one dispatch.
-        assert_eq!((sb.fused_len[2], sb.fused_retired[2], sb.fused_events[2]), (5, 23, 2));
-        let stats = assert_fused_matches_exact::<QuiescentRt>(&b);
-        assert_eq!(stats.stepped_instrs, 3, "only the loop branch is stepped");
+        // (10), cmp, loop branch — two events, one dispatch.
+        assert_eq!((sb.fused_len[2], sb.fused_retired[2], sb.fused_events[2]), (6, 24, 2));
+        let (.., stats) = assert_fused_matches_exact::<QuiescentRt>(&b);
+        assert_eq!(stats.stepped_instrs, 0, "only the non-retiring halt is stepped");
         assert_fused_matches_exact::<NoFi>(&b);
         let (out, ..) = run_sb(&b);
         assert_eq!(out, RunOutcome::Exit(0));
     }
 
-    #[test]
-    fn stop_inside_a_chain_reaches_the_exact_boundary() {
-        let b = two_sites();
-        let sb = SuperblockProgram::new(&b);
+    /// Stop `b`'s quiescent prefix at every FI count in `stops`, fused and
+    /// stepped, and require the exact boundary state.
+    fn assert_every_stop_matches_exact(b: &Binary, stops: RangeInclusive<u64>) {
+        let sb = SuperblockProgram::new(b);
         let cfg = RunConfig::default();
-        for stop in 1..=6 {
-            let (mut fused, mut exact) = (Machine::new(&b, &cfg), Machine::new(&b, &cfg));
+        for stop in stops {
+            let (mut fused, mut exact) = (Machine::new(b, &cfg), Machine::new(b, &cfg));
             let (mut qf, mut qe) = (QuiescentRt::default(), QuiescentRt::default());
             let (mut sf, mut se) = (SbStats::default(), SbStats::default());
             let max = cfg.max_cycles;
@@ -1206,25 +1342,31 @@ mod tests {
     }
 
     #[test]
+    fn stop_inside_a_chain_reaches_the_exact_boundary() {
+        assert_every_stop_matches_exact(&two_sites(), 1..=6);
+    }
+
+    #[test]
     fn trap_after_a_collapsed_site_materializes_exact_state() {
         // A misaligned load right at site A's resume point.
         let ld = MInstr::Ld { rd: 3, mem: Mem::abs(S0 + 4) };
         let b = site_loop(pre_fi(3, S0, SF), post_fi(S0, SF), ld);
         assert_eq!(SuperblockProgram::new(&b).collapsed_sites(), 2);
-        let stats = assert_fused_matches_exact::<QuiescentRt>(&b);
+        let (.., stats) = assert_fused_matches_exact::<QuiescentRt>(&b);
         assert_eq!(stats.fused_instrs, 13, "two movs, the head and site A");
     }
 
-    #[test]
-    fn snapshots_inside_chains_still_match_in_the_convergence_loop() {
-        let b = two_sites();
-        let sb = SuperblockProgram::new(&b);
+    /// Profile `b`, which exits 0, with a snapshot after every retired
+    /// instruction, so some lie inside collapsed µops and inside chains,
+    /// and require an unfaulted run left with only snapshots `j..` to
+    /// converge at snapshot `j` exactly: a fused block may not jump over
+    /// it. Returns the number of snapshots.
+    fn assert_converges_at_every_snapshot(b: &Binary) -> usize {
+        let sb = SuperblockProgram::new(b);
         let cfg = RunConfig::default();
-        // A snapshot after every retired instruction, so some lie inside
-        // collapsed sites and inside chains.
         let ck = CheckpointConfig { interval: 1, max_checkpoints: 1024, ..Default::default() };
         let (golden, store) =
-            Machine::run_checkpointed(&b, &cfg, &mut QuiescentRt::default(), None, &ck);
+            Machine::run_checkpointed(b, &cfg, &mut QuiescentRt::default(), None, &ck);
         let end = GoldenEnd {
             exit_code: 0,
             output: &golden.output,
@@ -1232,13 +1374,10 @@ mod tests {
             retired: golden.instrs_retired,
             probe_overhead: 0,
         };
-        assert!(store.checkpoints.len() > 60);
-        // With only snapshots j.. left, an unfaulted run must converge at
-        // snapshot j exactly: a fused block may not jump over it.
         for j in 0..store.checkpoints.len() {
             let mut tail = store.clone();
             tail.checkpoints.drain(..j);
-            let mut m = Machine::new(&b, &cfg);
+            let mut m = Machine::new(b, &cfg);
             let (mut conv, mut stats) = (ConvStats::default(), SbStats::default());
             let mut q = QuiescentRt::default();
             let max = cfg.max_cycles;
@@ -1249,6 +1388,12 @@ mod tests {
             assert_eq!(conv.checked_instrs, store.checkpoints[j].retired, "snapshot {j}");
             assert_eq!((m.cycles, m.instrs_retired), (golden.cycles, golden.instrs_retired));
         }
+        store.checkpoints.len()
+    }
+
+    #[test]
+    fn snapshots_inside_chains_still_match_in_the_convergence_loop() {
+        assert!(assert_converges_at_every_snapshot(&two_sites()) > 60);
     }
 
     #[test]
@@ -1308,9 +1453,191 @@ mod tests {
             MInstr::Halt,
         ]);
         let sb = SuperblockProgram::new(&b);
-        assert_eq!(sb.fused_len, vec![2, 1, 0, 0]);
-        assert_eq!(sb.fused_cost[0], 2); // two 1-cycle movs
-        assert_eq!(sb.block_count(), 1);
+        // The `jmp` ends the chain; `Halt` is never fused.
+        assert_eq!(sb.fused_len, vec![3, 2, 1, 0]);
+        assert_eq!(sb.fused_cost[0], 3); // two 1-cycle movs and the jmp
         assert_eq!(sb.len(), 4);
+    }
+
+    // --- Control transfers ------------------------------------------------
+
+    #[test]
+    fn jcc_taken_and_not_taken_match_exact() {
+        let b = bin(vec![
+            MInstr::MovRI { rd: 1, imm: 1 },
+            MInstr::CmpI { ra: 1, imm: 0 },
+            MInstr::Jcc { cc: Cc::Gt, target: 5 }, // taken
+            MInstr::MovRI { rd: 0, imm: 7 },
+            MInstr::Halt,
+            MInstr::CmpI { ra: 1, imm: 5 },
+            MInstr::Jcc { cc: Cc::Gt, target: 3 }, // not taken
+            MInstr::MovRI { rd: 0, imm: 0 },
+            MInstr::Halt,
+        ]);
+        let sb = SuperblockProgram::new(&b);
+        assert_eq!((sb.fused_len[0], sb.fused_len[5]), (3, 2));
+        let (out, _, stats) = assert_fused_matches_exact::<NoFi>(&b);
+        assert_eq!(out, RunOutcome::Exit(0));
+        assert_eq!((stats.dispatches, stats.stepped_instrs), (3, 0));
+    }
+
+    #[test]
+    fn call_ret_pair_matches_exact() {
+        let b = bin(vec![
+            MInstr::MovRI { rd: 1, imm: 2 },
+            MInstr::Call { target: 5 },
+            MInstr::AluI { op: AluOp::Sub, rd: 0, ra: 1, imm: 42 },
+            MInstr::Halt,
+            MInstr::Nop,
+            MInstr::AluI { op: AluOp::Add, rd: 1, ra: 1, imm: 40 }, // callee
+            MInstr::Ret,
+        ]);
+        let (out, m, stats) = assert_fused_matches_exact::<NoFi>(&b);
+        assert_eq!(out, RunOutcome::Exit(0));
+        assert_eq!(m.regs[SP as usize], STACK_TOP);
+        assert_eq!((stats.dispatches, stats.stepped_instrs), (3, 0));
+    }
+
+    #[test]
+    fn ret_out_of_text_traps_on_the_ret() {
+        let b = bin(vec![
+            MInstr::MovRI { rd: 1, imm: 1000 },
+            MInstr::Push { rs: 1 },
+            MInstr::Ret,
+            MInstr::Halt,
+        ]);
+        assert_eq!(SuperblockProgram::new(&b).fused_len[0], 3);
+        let (out, m, stats) = assert_fused_matches_exact::<NoFi>(&b);
+        assert_eq!(out, RunOutcome::Trap(Trap::BadPc(1000)));
+        assert_eq!(m.pc, 2);
+        assert_eq!((stats.dispatches, stats.fused_instrs), (1, 2));
+    }
+
+    #[test]
+    fn call_past_the_stack_bottom_materializes_the_trap() {
+        let cfg = RunConfig::default();
+        let bottom = STACK_TOP - cfg.stack_words as u64 * 8;
+        let b = bin(vec![
+            MInstr::MovRI { rd: SP, imm: bottom as i64 },
+            MInstr::Call { target: 3 },
+            MInstr::Halt,
+            MInstr::Halt,
+        ]);
+        assert_eq!(SuperblockProgram::new(&b).fused_len[0], 2);
+        let (out, m, stats) = assert_fused_matches_exact::<NoFi>(&b);
+        assert_eq!(out, RunOutcome::Trap(Trap::Segfault(bottom - 8)));
+        assert_eq!(m.pc, 1);
+        assert_eq!((stats.dispatches, stats.fused_instrs), (1, 1));
+    }
+
+    #[test]
+    fn transfers_with_a_static_successor_outside_the_text_stay_stepped() {
+        let b = bin(vec![
+            MInstr::MovRI { rd: 0, imm: 1 },
+            MInstr::Jmp { target: 100 },
+            MInstr::Call { target: 100 },
+            MInstr::Jcc { cc: Cc::E, target: 100 },
+            MInstr::Jcc { cc: Cc::E, target: 0 }, // falls through past the end
+        ]);
+        let sb = SuperblockProgram::new(&b);
+        assert_eq!(sb.fused_len, vec![1, 0, 0, 0, 0]);
+        // `step_t` moves pc onto the bad target before trapping.
+        let (out, m, _) = assert_fused_matches_exact::<NoFi>(&b);
+        assert_eq!(out, RunOutcome::Trap(Trap::BadPc(100)));
+        assert_eq!(m.pc, 100);
+    }
+
+    // --- Collapsed LLFI inject idioms -------------------------------------
+
+    /// `mov r0, rX; call injectFaultI`, with `mov rY, r0` when `y` is set.
+    fn inject_i(x: u8, y: Option<u8>) -> Vec<MInstr> {
+        let call = MInstr::CallRt { func: RtFunc::LlfiInjectI, imm: pack::llfi_imm(0, 64) };
+        let mut t = vec![MInstr::MovRR { rd: 0, ra: x }, call];
+        t.extend(y.map(|rd| MInstr::MovRR { rd, ra: 0 }));
+        t
+    }
+
+    /// The float form of [`inject_i`].
+    fn inject_f(x: u8, y: Option<u8>) -> Vec<MInstr> {
+        let call = MInstr::CallRt { func: RtFunc::LlfiInjectF, imm: pack::llfi_imm(1, 64) };
+        let mut t = vec![MInstr::FMovRR { fd: 0, fa: x }, call];
+        t.extend(y.map(|fd| MInstr::FMovRR { fd, fa: 0 }));
+        t
+    }
+
+    /// `body` run three times in a loop headed at pc 3; exits 0.
+    fn llfi_loop(body: Vec<MInstr>) -> Binary {
+        let mut t = vec![
+            MInstr::MovRI { rd: 2, imm: 3 },
+            MInstr::MovRI { rd: 3, imm: 5 },
+            MInstr::FMovRI { fd: 3, imm: 2.5f64.to_bits() },
+            MInstr::AluI { op: AluOp::Sub, rd: 2, ra: 2, imm: 1 }, // loop head
+        ];
+        t.extend(body);
+        t.extend([
+            MInstr::CmpI { ra: 2, imm: 0 },
+            MInstr::Jcc { cc: Cc::Gt, target: 3 },
+            MInstr::MovRI { rd: 0, imm: 0 },
+            MInstr::Halt,
+        ]);
+        bin(t)
+    }
+
+    /// All three idiom forms, each followed by a use of its result.
+    fn three_idioms() -> Binary {
+        let mut body = inject_i(3, Some(4));
+        body.push(MInstr::AluI { op: AluOp::Add, rd: 3, ra: 4, imm: 1 });
+        body.extend(inject_f(3, Some(4)));
+        body.push(MInstr::FAlu { op: FAluOp::Add, fd: 3, fa: 4, fb: 4 });
+        body.extend(inject_i(3, None));
+        body.push(MInstr::AluI { op: AluOp::Add, rd: 3, ra: 0, imm: 2 });
+        llfi_loop(body)
+    }
+
+    #[test]
+    fn llfi_inject_idioms_collapse_and_match_exact() {
+        let b = three_idioms();
+        let sb = SuperblockProgram::new(&b);
+        assert_eq!(sb.collapsed_sites(), 3);
+        // Head, three idioms (3 + 3 + 2 instructions) with their uses,
+        // cmp and the loop branch: nine µops, three events.
+        assert_eq!((sb.fused_len[3], sb.fused_retired[3], sb.fused_events[3]), (9, 14, 3));
+        let (.., stats) = assert_fused_matches_exact::<QuiescentRt>(&b);
+        assert_eq!(stats.stepped_instrs, 0);
+        let (out, m, _) = assert_fused_matches_exact::<NoFi>(&b);
+        assert_eq!(out, RunOutcome::Exit(0));
+        assert_eq!(m.regs[3], 5 + 3 * 3, "each iteration adds 1 and then 2");
+        assert_eq!(f64::from_bits(m.fregs[3]), 2.5 * 8.0);
+    }
+
+    #[test]
+    fn near_miss_inject_idioms_do_not_collapse_the_wrong_moves() {
+        let call_i = inject_i(3, None)[1];
+        let variants: [(Vec<MInstr>, usize); 4] = [
+            // The argument goes through another register than r0.
+            (vec![MInstr::MovRR { rd: 1, ra: 3 }, call_i, MInstr::MovRR { rd: 4, ra: 0 }], 0),
+            // The trailing move reads another register than r0: the
+            // two-instruction form collapses, the move stays a plain µop.
+            (vec![MInstr::MovRR { rd: 0, ra: 3 }, call_i, MInstr::MovRR { rd: 4, ra: 1 }], 1),
+            // An integer move into the float call, and the reverse.
+            (vec![MInstr::MovRR { rd: 0, ra: 3 }, inject_f(3, None)[1]], 0),
+            (vec![MInstr::FMovRR { fd: 0, fa: 3 }, call_i], 0),
+        ];
+        for (i, (body, collapsed)) in variants.into_iter().enumerate() {
+            let b = llfi_loop(body);
+            assert_eq!(SuperblockProgram::new(&b).collapsed_sites(), collapsed, "variant {i}");
+            assert_fused_matches_exact::<QuiescentRt>(&b);
+            assert_fused_matches_exact::<NoFi>(&b);
+        }
+    }
+
+    #[test]
+    fn stop_at_every_inject_idiom_reaches_the_exact_boundary() {
+        assert_every_stop_matches_exact(&three_idioms(), 1..=9);
+    }
+
+    #[test]
+    fn snapshots_inside_inject_idioms_still_match_in_the_convergence_loop() {
+        assert!(assert_converges_at_every_snapshot(&three_idioms()) > 40);
     }
 }

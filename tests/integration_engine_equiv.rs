@@ -185,6 +185,37 @@ fn every_refine_site_collapses_into_one_uop() {
     }
 }
 
+/// Every `injectFault` call LLFI's binaries pass their value through r0
+/// (f0) is part of the inject idiom the superblock builder collapses into
+/// one µop, with or without the trailing move of the result.
+#[test]
+fn every_llfi_inject_idiom_collapses_into_one_uop() {
+    use refine_ir::passes::OptLevel;
+    use refine_llfi::LlfiOptions;
+    use refine_machine::{MInstr, RtFunc, SuperblockProgram};
+    for b in refine_benchmarks::all() {
+        let opts = LlfiOptions::default();
+        let (c, _) = refine_llfi::compile_with_llfi(&b.module(), OptLevel::O2, &opts);
+        let pairs = c
+            .binary
+            .text
+            .windows(2)
+            .filter(|w| {
+                matches!(
+                    w,
+                    [MInstr::MovRR { rd: 0, .. }, MInstr::CallRt { func: RtFunc::LlfiInjectI, .. }]
+                        | [
+                            MInstr::FMovRR { fd: 0, .. },
+                            MInstr::CallRt { func: RtFunc::LlfiInjectF, .. }
+                        ]
+                )
+            })
+            .count();
+        assert!(pairs > 0, "{}", b.name);
+        assert_eq!(SuperblockProgram::new(&c.binary).collapsed_sites(), pairs, "{}", b.name);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Property layer: run_trial_engine vs the run_trial_exact oracle.
 // ---------------------------------------------------------------------------
