@@ -85,24 +85,30 @@ if share < 0.98:
     sys.exit(f"fused-share gate FAILED: {share:.3f} < 0.98")
 '
 
-echo "== trial_throughput bench (smoke)"
-# Fails on its own if the on/off sweeps mismatch or the superblock engine
-# loses its cold speedup; records trials/sec in BENCH_trials.json.
-REFINE_SMOKE=1 cargo bench -q --offline -p refine-bench --bench trial_throughput
-
-echo "== perf floor gate (cold trials/sec vs BENCH_floor.json)"
-# Fail when the cold (checkpoint-off, superblock) throughput regresses more
-# than the committed tolerance below the committed floor.
-python3 - <<'PYGATE'
-import json, sys
-floor = json.load(open("BENCH_floor.json"))
-bench = json.load(open("BENCH_trials.json"))
-metric = floor["metric"]
-actual = bench[metric]
-limit = floor["floor_trials_per_sec"] * floor["tolerance"]
-print(f"   {metric}: measured {actual:.0f} trials/s, gate {limit:.0f} trials/s")
-if actual < limit:
-    sys.exit(f"perf floor gate FAILED: {actual:.0f} < {limit:.0f} trials/s")
+echo "== cold superblock/step ratio gate (engine speedup on whole trials)"
+# The same cold sweep (checkpointing off, one worker, so every trial runs
+# from program start) under both engines, in this one run on this one
+# machine: the gate is the ratio of the two engine busy times, so it does
+# not depend on the host's speed. Runs alternate between the engines and
+# each keeps its fastest of three, so a burst of load on a shared host
+# cannot decide the ratio. It reads about 3-4x; running the superblock arm
+# unfused reads about 1x and switching off REFINE site collapsing 1-1.7x,
+# so the gate sits at 2x.
+COLD=(table6 --trials 24 --apps HPCCG-1.0,CoMD --seed 7 --jobs 1 --quiet --json --no-checkpoint)
+BUSY='import json, sys; print(json.load(sys.stdin)["engine"]["busy_ns"])'
+SB_NS=(); ST_NS=()
+for _ in 1 2 3; do
+    SB_NS+=("$($EXP "${COLD[@]}" --engine superblock 2>/dev/null | python3 -c "$BUSY")")
+    ST_NS+=("$($EXP "${COLD[@]}" --engine step 2>/dev/null | python3 -c "$BUSY")")
+done
+python3 - "${SB_NS[*]}" "${ST_NS[*]}" <<'PYGATE'
+import sys
+sb, st = (min(int(ns) for ns in runs.split()) for runs in sys.argv[1:])
+ratio = st / max(sb, 1)
+print(f"   fastest cold busy: superblock {sb / 1e6:.0f} ms, step {st / 1e6:.0f} ms,"
+      f" ratio {ratio:.2f}x (gate 2x)")
+if ratio < 2.0:
+    sys.exit(f"cold ratio gate FAILED: {ratio:.2f}x < 2x")
 PYGATE
 
 echo "CI OK"

@@ -276,27 +276,6 @@ impl PreparedTool {
         }
     }
 
-    /// Execute one fault-injection trial at dynamic target instruction
-    /// `target` (1-based) with RNG stream `seed`.
-    pub fn run_trial(&self, target: u64, seed: u64) -> RunResult {
-        self.run_trial_traced(target, seed).0
-    }
-
-    /// Like [`PreparedTool::run_trial`], but also returns the fault log
-    /// entry (when the injection fired) for provenance records.
-    pub fn run_trial_traced(&self, target: u64, seed: u64) -> (RunResult, Option<FaultRecord>) {
-        let t = self.run_trial_full(target, seed);
-        (t.result, t.log)
-    }
-
-    /// Full trial execution under the default engine
-    /// ([`ExecEngine::Superblock`]). Kept as the campaign-facing entry so
-    /// the whole existing differential suite exercises the fused engine
-    /// against [`PreparedTool::run_trial_exact`].
-    pub fn run_trial_full(&self, target: u64, seed: u64) -> TrialRun {
-        self.run_trial_engine(ExecEngine::default(), target, seed)
-    }
-
     /// Full trial execution under `engine`: fused superblocks or exact
     /// per-instruction steps, through the one trial driver.
     /// Every engine × checkpoint × convergence combination is bit-identical
@@ -511,7 +490,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for k in 0..60u64 {
             let target = 1 + (p.population * k / 60);
-            let r = p.run_trial(target, k * 7 + 1);
+            let r = p.run_trial_engine(ExecEngine::default(), target, k * 7 + 1).result;
             seen.insert(classify(&p.golden, &r));
         }
         assert!(seen.contains(&Outcome::Benign), "no benign outcome in 60 trials");
@@ -522,8 +501,8 @@ mod tests {
     fn trial_is_deterministic_given_target_and_seed() {
         let m = module();
         let p = PreparedTool::prepare(&m, Tool::Pinfi);
-        let a = p.run_trial(1234, 5);
-        let b = p.run_trial(1234, 5);
+        let a = p.run_trial_engine(ExecEngine::default(), 1234, 5).result;
+        let b = p.run_trial_engine(ExecEngine::default(), 1234, 5).result;
         assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.output, b.output);
         assert_eq!(a.cycles, b.cycles);

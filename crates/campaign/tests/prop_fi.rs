@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_campaign::{classify, Outcome};
+use refine_core::ExecEngine;
 use refine_machine::{Machine, OutEvent, RunConfig};
 use std::sync::OnceLock;
 
@@ -57,8 +58,8 @@ proptest! {
         let tool = Tool::all()[tool_idx];
         let p = prepared(tool);
         let target = 1 + ((p.population - 1) as f64 * frac) as u64;
-        let a = p.run_trial(target, seed);
-        let b = p.run_trial(target, seed);
+        let a = p.run_trial_engine(ExecEngine::default(), target, seed).result;
+        let b = p.run_trial_engine(ExecEngine::default(), target, seed).result;
         prop_assert_eq!(&a.outcome, &b.outcome);
         prop_assert_eq!(bits(&a.output), bits(&b.output));
         let o = classify(&p.golden, &a);

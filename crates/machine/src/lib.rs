@@ -47,5 +47,5 @@ pub use machine::{
     Trap,
 };
 pub use probe::{Probe, ProbeAction};
-pub use rt::{FiCounter, FiRuntime, NoFi, QuiescentRt};
+pub use rt::{FiCounter, FiRuntime, NoFi};
 pub use superblock::{SbStats, SuperblockProgram};

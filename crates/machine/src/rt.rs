@@ -71,14 +71,16 @@ pub trait FiCounter: FiRuntime {
 }
 
 /// A counting-only runtime: semantically identical to the profiling
-/// library (count every event, never fire), as a concrete type the trial
-/// loops monomorphize over.
+/// library (count every event, never fire), as a concrete type the
+/// superblock tests monomorphize the trial loops over.
+#[cfg(test)]
 #[derive(Debug, Default, Clone, Copy)]
 pub struct QuiescentRt {
     /// FI population events counted so far.
     pub count: u64,
 }
 
+#[cfg(test)]
 impl FiRuntime for QuiescentRt {
     fn sel_instr(&mut self, _site: u64) -> bool {
         self.count += 1;
@@ -105,6 +107,7 @@ impl FiRuntime for QuiescentRt {
     }
 }
 
+#[cfg(test)]
 impl FiCounter for QuiescentRt {}
 
 /// A no-op runtime for running uninstrumented binaries.

@@ -1,5 +1,5 @@
-//! The paper's headline claims, in miniature (full-scale versions live in
-//! the criterion bench harness and `refine-experiments`):
+//! The paper's headline claims, in miniature (the full-scale versions are
+//! `refine-experiments table5` and `fig5` at `--trials 1068`):
 //!
 //! * REFINE and PINFI sample the identical population and produce
 //!   statistically indistinguishable outcome distributions;

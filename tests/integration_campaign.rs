@@ -5,6 +5,7 @@ use refine_campaign::campaign::run_campaign;
 use refine_campaign::engine::EngineConfig;
 use refine_campaign::tools::{PreparedTool, Tool};
 use refine_campaign::{classify, Outcome};
+use refine_core::ExecEngine;
 use refine_machine::RunOutcome;
 
 fn small_module() -> refine_ir::Module {
@@ -35,7 +36,7 @@ fn workflow_profile_then_inject_then_classify() {
         assert!(p.population > 100, "{}", tool.name());
         assert_eq!(p.timeout_cycles, p.profile_cycles * 10, "the 10x rule");
         // A mid-run injection classifies into one of the three categories.
-        let r = p.run_trial(p.population / 2, 33);
+        let r = p.run_trial_engine(ExecEngine::default(), p.population / 2, 33).result;
         let o = classify(&p.golden, &r);
         assert!(matches!(o, Outcome::Crash | Outcome::Soc | Outcome::Benign));
     }
@@ -120,7 +121,7 @@ fn timeouts_are_crashes() {
     let mut saw_timeout = false;
     for k in 0..2000u64 {
         let target = 1 + (p.population * (k % 500) / 500);
-        let r = p.run_trial(target, k);
+        let r = p.run_trial_engine(ExecEngine::default(), target, k).result;
         if r.outcome == RunOutcome::Timeout {
             saw_timeout = true;
             assert_eq!(classify(&p.golden, &r), Outcome::Crash);

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use refine_campaign::engine::EngineConfig;
 use refine_campaign::experiments::{run_suite_sharded, SuiteObserver};
 use refine_campaign::tools::{PreparedTool, Tool};
-use refine_core::CheckpointOptions;
+use refine_core::{CheckpointOptions, ExecEngine};
 use refine_telemetry::{TraceSink, TrialTrace};
 use serde::Serialize;
 
@@ -69,14 +69,14 @@ fn late_targets_restore_from_checkpoints() {
             panic!("{}: default prepare must carry a fastpath", tool.name())
         });
         assert!(!fp.store.is_empty(), "{}: empty checkpoint store", tool.name());
-        let t = p.run_trial_full(p.population, 1);
+        let t = p.run_trial_engine(ExecEngine::default(), p.population, 1);
         assert!(t.fast.restored, "{}: late trial did not restore", tool.name());
         assert!(t.fast.skipped_instrs > 0, "{}: restore skipped nothing", tool.name());
     }
 
     let off = PreparedTool::prepare_opt(&m, Tool::Refine, &CheckpointOptions::disabled());
     assert!(off.fastpath.is_none(), "--no-checkpoint must not build a store");
-    let t = off.run_trial_full(off.population, 1);
+    let t = off.run_trial_engine(ExecEngine::default(), off.population, 1);
     assert!(!t.fast.restored);
 }
 
@@ -131,7 +131,7 @@ fn assert_trial_equivalence(name: &str, src: &str, interval: u64, frac: f64, see
         // Targets past the population are legal (the injector never fires);
         // the fraction range deliberately overshoots to cover that.
         let target = ((p.population as f64 * frac) as u64).max(1);
-        let fast = p.run_trial_full(target, seed);
+        let fast = p.run_trial_engine(ExecEngine::default(), target, seed);
         let exact = p.run_trial_exact(target, seed);
         let ctx = format!("{name} {} K={interval} target={target} seed={seed}", tool.name());
         assert_eq!(fast.result.outcome, exact.result.outcome, "{ctx}: outcome");

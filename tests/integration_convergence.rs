@@ -10,7 +10,7 @@ use refine_campaign::engine::EngineConfig;
 use refine_campaign::classify::{classify, Outcome};
 use refine_campaign::experiments::{run_suite_sharded, SuiteObserver};
 use refine_campaign::tools::{PreparedTool, Tool};
-use refine_core::CheckpointOptions;
+use refine_core::{CheckpointOptions, ExecEngine};
 use refine_telemetry::{TraceSink, TrialTrace};
 use serde::Serialize;
 
@@ -81,7 +81,7 @@ fn converged_trials_are_benign_and_convergence_fires() {
         let mut hits = 0u64;
         for k in 1..=24u64 {
             let target = (p.population * k / 25).max(1);
-            let t = p.run_trial_full(target, 0x5EED + k);
+            let t = p.run_trial_engine(ExecEngine::default(), target, 0x5EED + k);
             let outcome = classify(&p.golden, &t.result);
             if t.fast.converged {
                 hits += 1;
@@ -111,7 +111,7 @@ fn no_convergence_disables_the_detector() {
     let opts = CheckpointOptions { convergence: false, ..CheckpointOptions::default() };
     let p = PreparedTool::prepare_opt(&m, Tool::Refine, &opts);
     for k in 1..=6u64 {
-        let t = p.run_trial_full((p.population * k / 7).max(1), 0x0FF + k);
+        let t = p.run_trial_engine(ExecEngine::default(), (p.population * k / 7).max(1), 0x0FF + k);
         assert!(!t.fast.converged);
         assert_eq!(t.fast.conv_checked_instrs, 0);
         assert_eq!(t.fast.conv_saved_instrs, 0);
@@ -125,7 +125,7 @@ fn no_convergence_disables_the_detector() {
 /// injector. Pinned at the first case found (SP, `-fi-instrs=stack`).
 #[test]
 fn reentered_setup_fi_draws_like_the_oracle() {
-    use refine_core::{ExecEngine, FaultRecord, FiOptions, InstrClass};
+    use refine_core::{FaultRecord, FiOptions, InstrClass};
     use refine_machine::{RunOutcome, Trap};
     let m = refine_benchmarks::by_name("SP").unwrap().module();
     let opts = FiOptions { fi: true, fi_instrs: InstrClass::Stack, ..FiOptions::all() };
@@ -157,7 +157,7 @@ fn assert_trial_equivalence(name: &str, src: &str, interval: u64, frac: f64, see
     for tool in Tool::all() {
         let p = PreparedTool::prepare_opt(&m, tool, &ckpt);
         let target = ((p.population as f64 * frac) as u64).max(1);
-        let fast = p.run_trial_full(target, seed);
+        let fast = p.run_trial_engine(ExecEngine::default(), target, seed);
         let exact = p.run_trial_exact(target, seed);
         let ctx = format!("{name} {} K={interval} target={target} seed={seed}", tool.name());
         assert_eq!(fast.result.outcome, exact.result.outcome, "{ctx}: outcome");

@@ -32,13 +32,13 @@ fn sweep(jobs: usize) -> (String, Vec<TrialTrace>, CacheStats) {
     (table, records, report.cache)
 }
 
-/// The satellite check: `--jobs 1`, `--jobs 4` and `--jobs 8` yield
-/// byte-identical outcome tables, and identical trace records once sorted
-/// by trial id (arrival order is scheduling-dependent; content is not).
+/// `--jobs 1`, `--jobs 2`, `--jobs 4` and `--jobs 8` yield byte-identical
+/// outcome tables, and identical trace records once sorted by trial id
+/// (arrival order is scheduling-dependent; content is not).
 #[test]
 fn jobs_counts_are_bit_identical() {
     let (table1, recs1, cache1) = sweep(1);
-    for jobs in [4usize, 8] {
+    for jobs in [2usize, 4, 8] {
         let (table, recs, cache) = sweep(jobs);
         assert_eq!(table1, table, "outcome table changed at jobs={jobs}");
         assert_eq!(recs1.len(), recs.len(), "trace count changed at jobs={jobs}");
